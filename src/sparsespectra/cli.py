@@ -47,7 +47,8 @@ from .limit_law import (
 )
 from .measures import DiscreteMeasure, kolmogorov_distance, kolmogorov_vs_cdf, wasserstein1
 from .spectrum import eigenvalues_symmetric, trace_distance_bound, write_histogram_csv, write_spectrum_csv
-from .support import TwoAtomLaw, phase_diagram, support_mp, support_mu, xi, xi_prime
+from .support import TwoAtomLaw, phase_diagram, support_mp, xi, xi_prime
+from .tables import write_table
 
 __all__ = ["main"]
 
@@ -282,7 +283,7 @@ def _cmd_support(run: _Run) -> int:
     min_gap = run.get("min_gap", float, default=1e-3)
     out = _out_dir(run)
     mp = support_mp(nu, min_gap=min_gap)
-    mu = support_mu(nu, min_gap=min_gap)
+    mu = mp.symmetric_image()
     meta = run.echo(nu_atoms=len(nu))
     mp.to_csv(os.path.join(out, "support_square_law.csv"), metadata=meta)
     mu.to_csv(os.path.join(out, "support_symmetric.csv"), metadata=meta)
@@ -297,18 +298,15 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict, points_per_gap: i
     locs, _ = nu.as_arrays()
     poles = np.sort(-1.0 / locs[locs > 0])
     span = float(poles[-1] - poles[0]) or 1.0
-    bounds = [(poles[0] - 1.5 * span, poles[0])]
-    bounds += [(poles[i], poles[i + 1]) for i in range(len(poles) - 1)]
-    bounds += [(poles[-1], 0.0)]
-    with open(path, "w") as fh:
-        for key in sorted(metadata):
-            fh.write(f"# {key}={metadata[key]}\n")
-        fh.write("gap,v,xi,xi_prime\n")
-        for k, (lo, hi) in enumerate(bounds):
-            width = hi - lo
-            vs = lo + width * np.linspace(1e-4, 1.0 - 1e-4, points_per_gap)
-            for v in vs:
-                fh.write(f"{k},{v:.17g},{xi(float(v), nu):.17g},{xi_prime(float(v), nu):.17g}\n")
+    lo = np.concatenate([[poles[0] - 1.5 * span], poles])
+    hi = np.concatenate([poles, [0.0]])
+    vs = lo[:, None] + (hi - lo)[:, None] * np.linspace(1e-4, 1.0 - 1e-4, points_per_gap)
+    # one gap at a time: all gaps at once would take points × atoms² memory
+    xis = np.array([xi(row, nu) for row in vs])
+    slopes = np.array([xi_prime(row, nu) for row in vs])
+    gaps = np.repeat(np.arange(len(vs)), points_per_gap)
+    write_table(path, ("gap", "v", "xi", "xi_prime"), gaps, vs.ravel(), xis.ravel(),
+                slopes.ravel(), metadata=metadata)
 
 
 def _cmd_phase_diagram(run: _Run) -> int:
@@ -317,14 +315,9 @@ def _cmd_phase_diagram(run: _Run) -> int:
     hole, disc = phase_diagram(alphas, betas)
     out = _out_dir(run)
     path = os.path.join(out, "phase_diagram.csv")
-    meta = run.echo()
-    with open(path, "w") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write("alpha,beta,has_hole,discriminant\n")
-        for i, a in enumerate(alphas):
-            for j, b in enumerate(betas):
-                fh.write(f"{a:.17g},{b:.17g},{int(hole[i, j])},{disc[i, j]:.17g}\n")
+    write_table(path, ("alpha", "beta", "has_hole", "discriminant"),
+                np.repeat(alphas, len(betas)), np.tile(betas, len(alphas)), hole.ravel(),
+                disc.ravel(), metadata=run.echo())
     print(f"phase diagram {len(alphas)}x{len(betas)} -> {path}")
     return 0
 
@@ -388,13 +381,9 @@ def _cmd_couple(run: _Run) -> int:
     meta = run.echo(omega_realized=f"{seq.omega:.17g}")
     write_spectrum_csv(os.path.join(out, "couple_configuration.csv"), eig_a, metadata=meta)
     write_spectrum_csv(os.path.join(out, "couple_poissonized.csv"), eig_b, metadata=meta)
-    with open(os.path.join(out, "couple_summary.csv"), "w") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write("metric,value\n")
-        fh.write(f"kolmogorov,{ks:.17g}\n")
-        fh.write(f"wasserstein1,{w1:.17g}\n")
-        fh.write(f"hoffman_wielandt_bound,{hw:.17g}\n")
+    write_table(os.path.join(out, "couple_summary.csv"), ("metric", "value"),
+                np.array(["kolmogorov", "wasserstein1", "hoffman_wielandt_bound"]),
+                np.array([ks, w1, hw]), metadata=meta)
     print(f"kolmogorov={ks:.6f} wasserstein1={w1:.6f} hw_bound={hw:.6f}")
     return 0
 

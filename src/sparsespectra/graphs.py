@@ -28,7 +28,6 @@ __all__ = [
     "sample_configuration",
     "sample_poissonized",
     "extend_configuration",
-    "blue_marking_extend",
     "single_adjacency",
     "scaled_adjacency",
 ]
@@ -289,11 +288,6 @@ def extend_configuration(
         out_i.append(pairs[:, 0])
         out_j.append(pairs[:, 1])
     return Multigraph.from_instances(g.n, np.concatenate(out_i), np.concatenate(out_j))
-
-
-# The coupling construction is widely referred to by its half-edge marking;
-# keep that name available too.
-blue_marking_extend = extend_configuration
 
 
 @dataclass(frozen=True)

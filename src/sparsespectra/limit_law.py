@@ -24,6 +24,7 @@ import numpy as np
 
 from .families import ContinuousLaw
 from .measures import DiscreteMeasure
+from .tables import write_table
 
 __all__ = [
     "ConvergenceError",
@@ -402,12 +403,7 @@ class DensityCurve:
         }
         if metadata:
             meta.update(metadata)
-        with open(path, "w") as fh:
-            for key in sorted(meta):
-                fh.write(f"# {key}={meta[key]}\n")
-            fh.write("x,rho\n")
-            for x, r in zip(self.grid, self.rho):
-                fh.write(f"{x:.17g},{r:.17g}\n")
+        write_table(path, ("x", "rho"), self.grid, self.rho, metadata=meta)
 
 
 def density_curve(

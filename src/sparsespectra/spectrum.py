@@ -5,24 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import SymmetricMatrix
-from .measures import (
-    DiscreteMeasure,
-    kolmogorov_distance,
-    kolmogorov_vs_cdf,
-    wasserstein1,
-)
+from .measures import DiscreteMeasure
+from .tables import write_table
 
 __all__ = [
     "eigenvalues_symmetric",
     "esd",
     "trace_distance_bound",
-    "hoffman_wielandt_bl_bound",
     "freedman_diaconis_histogram",
     "write_spectrum_csv",
     "write_histogram_csv",
-    "kolmogorov_distance",
-    "wasserstein1",
-    "kolmogorov_vs_cdf",
 ]
 
 
@@ -54,11 +46,6 @@ def trace_distance_bound(a: SymmetricMatrix, b: SymmetricMatrix) -> float:
     return float(np.sqrt(np.sum(d * d) / a.n))
 
 
-# Alias: the quantity above is the Hoffman–Wielandt bound normalized for
-# bounded-Lipschitz comparisons of spectral measures.
-hoffman_wielandt_bl_bound = trace_distance_bound
-
-
 def freedman_diaconis_histogram(values, bins: int | None = None):
     """Density histogram with Freedman–Diaconis binning by default.
 
@@ -83,27 +70,14 @@ def freedman_diaconis_histogram(values, bins: int | None = None):
     return edges[:-1], edges[1:], density
 
 
-def _write_metadata(fh, metadata: dict | None) -> None:
-    if metadata:
-        for key in sorted(metadata):
-            fh.write(f"# {key}={metadata[key]}\n")
-
-
 def write_spectrum_csv(path, eigenvalues, metadata: dict | None = None) -> None:
     """One eigenvalue per line, preceded by '#' metadata lines."""
     eigs = np.asarray(eigenvalues, dtype=float).ravel()
-    with open(path, "w") as fh:
-        _write_metadata(fh, metadata)
-        fh.write("eigenvalue\n")
-        for x in eigs:
-            fh.write(f"{x:.17g}\n")
+    write_table(path, ("eigenvalue",), eigs, metadata=metadata)
 
 
 def write_histogram_csv(path, values, bins: int | None = None,
                         metadata: dict | None = None) -> None:
     left, right, density = freedman_diaconis_histogram(values, bins)
-    with open(path, "w") as fh:
-        _write_metadata(fh, metadata)
-        fh.write("bin_left,bin_right,density\n")
-        for l, r, d in zip(left, right, density):
-            fh.write(f"{l:.17g},{r:.17g},{d:.17g}\n")
+    write_table(path, ("bin_left", "bin_right", "density"), left, right, density,
+                metadata=metadata)

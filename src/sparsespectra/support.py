@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .measures import DiscreteMeasure
+from .tables import write_table
 
 __all__ = [
     "SupportIntervals",
@@ -77,13 +78,20 @@ class SupportIntervals:
         return tuple((b1, a2) for (_, b1), (a2, _) in zip(self.intervals, self.intervals[1:]))
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
-        with open(path, "w") as fh:
-            if metadata:
-                for key in sorted(metadata):
-                    fh.write(f"# {key}={metadata[key]}\n")
-            fh.write("left,right\n")
-            for a, b in self.intervals:
-                fh.write(f"{a:.17g},{b:.17g}\n")
+        ends = np.array(self.intervals, dtype=float).reshape(-1, 2)
+        write_table(path, ("left", "right"), ends[:, 0], ends[:, 1], metadata=metadata)
+
+    def symmetric_image(self) -> "SupportIntervals":
+        """The ± square-root image of intervals on [0, ∞), as a symmetric set.
+
+        A first interval starting at 0 maps to one interval around 0.
+        """
+        pos = [(math.sqrt(a), math.sqrt(b)) for a, b in self.intervals]
+        middle = []
+        if pos and pos[0][0] == 0.0:
+            middle = [(-pos[0][1], pos[0][1])]
+            pos = pos[1:]
+        return SupportIntervals(tuple([(-b, -a) for a, b in reversed(pos)] + middle + pos))
 
 
 def _positive_atoms(nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -363,20 +371,7 @@ def support_mu(
     x_cap: float | None = None,
 ) -> SupportIntervals:
     """Support of the symmetric limit law: ±√ image of the square-law support."""
-    mp = support_mp(nu, min_gap=min_gap, x_cap=x_cap)
-    pos = [(math.sqrt(a), math.sqrt(b)) for a, b in mp]
-    out: list[tuple[float, float]] = []
-    if pos and pos[0][0] == 0.0:
-        head = pos[0]
-        out.append((-head[1], head[1]))
-        rest = pos[1:]
-    else:
-        rest = pos
-    for a, b in reversed(rest):
-        out.insert(0, (-b, -a))
-    out.extend(rest)
-    out.sort()
-    return SupportIntervals(tuple(out))
+    return support_mp(nu, min_gap=min_gap, x_cap=x_cap).symmetric_image()
 
 
 # -- two-atom closed forms --------------------------------------------------
@@ -410,6 +405,19 @@ class TwoAtomLaw:
         return DiscreteMeasure((self.beta, self.alpha), (1.0 - self.q_o, self.q_o))
 
 
+def _discriminant(a, b):
+    """Edge-cubic discriminant for alpha = a, beta = b; scalars or arrays."""
+    q = a * ((1.0 - b) / (a - b))  # rounds as TwoAtomLaw.q does
+    big_a = (a - b) * (a + b) ** 3
+    big_b = (a - 2.0 * b) ** 3
+    return 4.0 * q * (1.0 - q) * (a - b) ** 2 * (a * big_b - q * big_a)
+
+
+def _threshold(b):
+    """Critical alpha for beta = b; scalars or arrays."""
+    return b * (3.0 / (1.0 - (1.0 - b) ** (1.0 / 3.0)) - 1.0)
+
+
 def two_atom_discriminant(law: TwoAtomLaw) -> float:
     """Discriminant of the edge cubic: positive iff three distinct
     positive roots, i.e. iff the square-law support is disconnected.
@@ -417,18 +425,14 @@ def two_atom_discriminant(law: TwoAtomLaw) -> float:
     Equals 4·q(1−q)(α−β)²·(α·B − q·A) with q = α·q_o, A = (α−β)(α+β)³,
     B = (α−2β)³.
     """
-    a, b = law.alpha, law.beta
-    q = law.q
-    big_a = (a - b) * (a + b) ** 3
-    big_b = (a - 2.0 * b) ** 3
-    return 4.0 * q * (1.0 - q) * (a - b) ** 2 * (a * big_b - q * big_a)
+    return _discriminant(law.alpha, law.beta)
 
 
 def two_atom_threshold(beta: float) -> float:
     """Critical alpha above which the support splits, for given beta."""
     if not 0.0 < beta < 1.0:
         raise ValueError("need 0 < beta < 1")
-    return beta * (3.0 / (1.0 - (1.0 - beta) ** (1.0 / 3.0)) - 1.0)
+    return _threshold(beta)
 
 
 def two_atom_has_hole(law: TwoAtomLaw) -> bool:
@@ -448,13 +452,8 @@ def phase_diagram(alphas, betas):
     b = betas[None, :]
     valid = (a > 1.0) & (b > 0.0) & (b < 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        q_o = (1.0 - b) / (a - b)
-        q = a * q_o
-        big_a = (a - b) * (a + b) ** 3
-        big_b = (a - 2.0 * b) ** 3
-        disc = 4.0 * q * (1.0 - q) * (a - b) ** 2 * (a * big_b - q * big_a)
-        thresh = b * (3.0 / (1.0 - (1.0 - b) ** (1.0 / 3.0)) - 1.0)
-        hole = a > thresh
+        disc = _discriminant(a, b)
+        hole = a > _threshold(b)
     disc = np.where(valid, disc, np.nan)
     hole = np.where(valid, hole, False)
     return hole, disc

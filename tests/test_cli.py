@@ -1,11 +1,19 @@
 """End-to-end runs of the command-line program on small instances."""
 
+import math
 import time
 
 import numpy as np
 import pytest
 
-from sparsespectra import DiscreteMeasure, OnePlusExponential, parse_family
+from sparsespectra import (
+    DiscreteMeasure,
+    OnePlusExponential,
+    parse_family,
+    quantize_measure,
+    xi,
+    xi_prime,
+)
 from sparsespectra.cli import main, parse_measure_spec
 
 
@@ -177,6 +185,27 @@ def test_support_min_gap_flag(tmp_path):
     assert rc == 0
     _, sq = read_rows(tmp_path / "support_square_law.csv", "left,right")
     assert len(sq) == 1
+
+
+def test_support_quantized_family_trace_and_mirror(tmp_path):
+    rc = main(["support", "--measure", "one-plus-exponential:rate=1", "--quantize", "16",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    nu = quantize_measure(OnePlusExponential(rate=1.0).normalized(), 16)
+    meta, trace = read_rows(tmp_path / "xi_trace.csv", "gap,v,xi,xi_prime")
+    assert meta["nu_atoms"] == "16"
+    assert len(trace) == 17 * 400
+    assert {r[0] for r in trace} == {str(k) for k in range(17)}
+    for _, v, x, slope in trace:
+        assert float(x) == xi(float(v), nu)
+        assert float(slope) == xi_prime(float(v), nu)
+    _, sq = read_rows(tmp_path / "support_square_law.csv", "left,right")
+    _, sym = read_rows(tmp_path / "support_symmetric.csv", "left,right")
+    sym = [(float(a), float(b)) for a, b in sym]
+    assert sym == [(-b, -a) for a, b in reversed(sym)]
+    assert [(max(a, 0.0), b) for a, b in sym if b > 0] == [
+        (math.sqrt(float(a)), math.sqrt(float(b))) for a, b in sq
+    ]
 
 
 # -- phase diagram --------------------------------------------------------------------
