@@ -16,6 +16,7 @@ import numpy as np
 
 from .families import ContinuousLaw, parse_family
 from .measures import DiscreteMeasure
+from .tables import write_rows
 
 __all__ = [
     "DegreeSpec",
@@ -117,8 +118,7 @@ class DegreeSequence:
     def save(self, path) -> None:
         """One integer per line."""
         with open(path, "w") as fh:
-            for d in self.degrees:
-                fh.write(f"{d}\n")
+            write_rows(fh, "{}\n", self.as_array())
 
     @classmethod
     def load(cls, path) -> "DegreeSequence":

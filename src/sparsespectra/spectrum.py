@@ -43,7 +43,7 @@ def trace_distance_bound(a: SymmetricMatrix, b: SymmetricMatrix) -> float:
     if a.n != b.n:
         raise ValueError(f"matrix orders differ: {a.n} vs {b.n}")
     d = a.data - b.data
-    return float(np.sqrt(np.sum(d * d) / a.n))
+    return float(np.sqrt(np.vdot(d, d) / a.n))
 
 
 def freedman_diaconis_histogram(values, bins: int | None = None):

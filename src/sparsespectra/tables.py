@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_table"]
+__all__ = ["write_table", "write_rows"]
 
 _FIELD_FORMATS = {"f": "{:.17g}", "i": "{:d}", "u": "{:d}", "b": "{:d}", "U": "{}"}
 # rows formatted per write: large enough to amortise the per-block calls,
@@ -35,11 +35,17 @@ def write_table(path, columns, *data, metadata: dict | None = None) -> None:
     if not set(kinds) <= _FIELD_FORMATS.keys():
         raise ValueError(f"no table format for dtype kinds {kinds}")
     row_fmt = ",".join(_FIELD_FORMATS[kind] for kind in kinds) + "\n"
-    n = cols[0].shape[0] if cols else 0
     with open(path, "w") as fh:
         for key in sorted(metadata or ()):
             fh.write(f"# {key}={metadata[key]}\n")
         fh.write(",".join(columns) + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            block = (col[start:start + _BLOCK_ROWS].tolist() for col in cols)
-            fh.write("".join(map(row_fmt.format, *block)))
+        write_rows(fh, row_fmt, *cols)
+
+
+def write_rows(fh, row_fmt: str, *cols: np.ndarray) -> None:
+    """Write `row_fmt.format(*row)` to the open text file `fh` for every
+    row of the equal-length 1-D arrays `cols`, formatted block by block."""
+    n = cols[0].shape[0] if cols else 0
+    for start in range(0, n, _BLOCK_ROWS):
+        block = (col[start:start + _BLOCK_ROWS].tolist() for col in cols)
+        fh.write("".join(map(row_fmt.format, *block)))

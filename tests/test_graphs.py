@@ -1,6 +1,7 @@
 """Multigraph samplers: exactness, uniformity, coupling extension, matrices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sparsespectra import (
 )
 
 from oracles import graph_key, matching_distribution, total_variation
+from sparsespectra.tables import _BLOCK_ROWS
 
 
 def seq_of(*degrees):
@@ -113,6 +115,49 @@ def test_poissonized_all_zero_degrees_gives_empty_graph():
     g = sample_poissonized(DegreeSequence((0, 0, 0), omega=0.0), seed=4)
     assert g.edge_total == 0
     assert g.degrees().tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("degrees, trials", [
+    ((4, 4, 6, 6, 6), 20_000),  # two classes of sizes 2 and 3
+    ((2, 4, 4, 6), 8_000),  # size-1 classes: no within-class pairs
+    ((0, 1, 2, 3, 4, 6), 8_000),  # all degrees distinct, one of them 0
+])
+def test_poissonized_pair_counts_are_independent_poisson(degrees, trials):
+    # every vertex pair count is Poisson(D_i·D_j/(n·omega)) and every loop
+    # count Poisson(D_i²/(2·n·omega)), all independent; z-bounds at 5 sigma
+    seq = seq_of(*degrees)
+    d = np.array(degrees, dtype=float)
+    n = len(degrees)
+    iu, ju = np.triu_indices(n)
+    rate = d[iu] * d[ju] / (n * seq.omega) * np.where(iu == ju, 0.5, 1.0)
+    counts = np.empty((trials, iu.size))
+    for seed in range(trials):
+        a = sample_poissonized(seq, seed=seed).adjacency()
+        a[np.diag_indices(n)] /= 2  # the diagonal holds 2·loops
+        counts[seed] = a[iu, ju]
+    mean = counts.mean(axis=0)
+    var = counts.var(axis=0, ddof=1)
+    assert np.all(np.abs(mean - rate) <= 5 * np.sqrt(rate / trials))
+    # Poisson: var(sample variance) ≈ (rate + 2·rate²)/trials
+    assert np.all(np.abs(var - rate) <= 5 * np.sqrt((rate + 2 * rate * rate) / trials))
+    live = rate > 0
+    corr = np.corrcoef(counts[:, live], rowvar=False)
+    off = ~np.eye(int(live.sum()), dtype=bool)
+    assert np.all(np.abs(corr[off]) < 5 / math.sqrt(trials))
+
+
+def test_poissonized_memory_grows_with_edges_not_pairs():
+    # an n(n−1)/2-pair sampler would hold about 1.6 GB here
+    n = 10_000
+    seq = DegreeSequence.from_degrees([20] * (n // 2) + [60] * (n // 2))
+    tracemalloc.start()
+    try:
+        g = sample_poissonized(seq, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_total > 150_000
+    assert peak < 200 * g.edge_total
 
 
 # -- blue-marking extension -----------------------------------------------------
@@ -273,6 +318,25 @@ def test_edge_list_round_trip(tmp_path):
     again = Multigraph.load_edges(path)
     assert again.n == g.n
     assert graph_key(again) == graph_key(g)
+
+
+def test_edge_list_blocks_match_a_per_row_reference(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 3000
+    ii = np.concatenate([rng.integers(0, n, 30_000), np.arange(0, n, 3)])
+    jj = np.concatenate([rng.integers(0, n, 30_000), np.arange(0, n, 3)])
+    g = Multigraph.from_instances(n, ii, jj)
+    assert g.mult.size > 2 * _BLOCK_ROWS and g.loop_vertex.size > 1000
+    path = tmp_path / "edges.txt"
+    g.save_edges(path, metadata={"seed": 7, "n": n})
+    reference = f"# n={n}\n# n={n}\n# seed=7\n" + "".join(
+        f"{i} {j} {m}\n" for i, j, m in zip(g.edges_i, g.edges_j, g.mult)
+    ) + "".join(f"{v} {v} {c}\n" for v, c in zip(g.loop_vertex, g.loop_count))
+    assert path.read_text() == reference
+    again = Multigraph.load_edges(path)
+    assert again.n == n
+    for name in ("edges_i", "edges_j", "mult", "loop_vertex", "loop_count"):
+        assert np.array_equal(getattr(again, name), getattr(g, name))
 
 
 def test_symmetric_matrix_round_trip(tmp_path):
