@@ -8,10 +8,11 @@ the upper-half-plane fixed point
 
 with companion transforms h(z²) = g(z)/z and f(z) = -(1 + g(z)²)/z; f is
 the Cauchy transform of the symmetric limit measure itself, so its
-boundary imaginary part recovers the density. This module solves the
-fixed point (damped iteration with a guarded Newton accelerator and
-geometric continuation in the imaginary offset), and evaluates the three
-densities: the square-law density, its symmetrized square root, and the
+boundary imaginary part recovers the density. One routine solves the
+fixed point for every entry point, with one failure path: warm-started
+geometric continuation in the imaginary offset, each stage a damped
+iteration with a guarded Newton step from the first iteration. The module
+evaluates the square-law density, its symmetrized square root, and the
 limit density proper.
 """
 
@@ -93,20 +94,19 @@ def _iterate_many(
     """Damped fixed-point iteration with a guarded Newton accelerator.
 
     The damped map g ← g − θ·F(g) (θ = 1/2) keeps Im g > 0 whenever
-    Im z > 0. Once a lane's residual is small, a Newton step
-    g ← g − F/F' is attempted and kept only if it stays in the upper
-    half-plane and strictly reduces |F|. Returns (g, |F(g)|, iterations).
+    Im z > 0. From the first iteration on, a lane whose residual is below
+    1/2 tries the Newton step g ← g − F/F' instead, kept only if it stays
+    in the upper half-plane and strictly reduces |F|. Returns
+    (g, |F(g)|, iterations).
     """
     theta = 0.5
     d = locs[None, :]
-    wd = (wts * locs)[None, :]
     wdd = (wts * locs * locs)[None, :]
 
     g = g0.astype(complex).copy()
     R = _residual_many(z, g, locs, wts)
     res = np.abs(R)
     iterations = 0
-    newton_after = 8
 
     for k in range(max_iter):
         active = res > tol
@@ -119,24 +119,20 @@ def _iterate_many(
         resa = res[active]
 
         den = za[:, None] + ga[:, None] * d
-        cand = ga - theta * Ra
-        tried_newton = np.zeros(ga.shape, dtype=bool)
-        if k >= newton_after:
-            fprime = 1.0 - (wdd / (den * den)).sum(axis=1)
-            safe = np.abs(fprime) > 1e-14
-            gN = np.where(safe, ga - Ra / np.where(safe, fprime, 1.0), cand)
-            tried_newton = safe & (resa < 0.5) & (gN.imag > 0) & np.isfinite(gN)
-            cand = np.where(tried_newton, gN, cand)
+        damped = ga - theta * Ra
+        fprime = 1.0 - (wdd / (den * den)).sum(axis=1)
+        safe = np.abs(fprime) > 1e-14
+        gN = np.where(safe, ga - Ra / np.where(safe, fprime, 1.0), damped)
+        tried_newton = safe & (resa < 0.5) & (gN.imag > 0) & np.isfinite(gN)
+        cand = np.where(tried_newton, gN, damped)
 
         Rc = _residual_many(za, cand, locs, wts)
         resc = np.abs(Rc)
         worse = tried_newton & ~(resc < resa)
         if np.any(worse):
-            fallback = ga[worse] - theta * Ra[worse]
-            cand[worse] = fallback
-            Rf = _residual_many(za[worse], fallback, locs, wts)
-            Rc[worse] = Rf
-            resc[worse] = np.abs(Rf)
+            cand[worse] = damped[worse]
+            Rc[worse] = _residual_many(za[worse], cand[worse], locs, wts)
+            resc[worse] = np.abs(Rc[worse])
 
         g[active] = cand
         R[active] = Rc
@@ -145,14 +141,10 @@ def _iterate_many(
     return g, res, iterations
 
 
-def _initial_guess(z: np.ndarray) -> np.ndarray:
-    return 1j * np.minimum(1.0, 1.0 / np.imag(z)) * np.ones(len(z))
-
-
-def _eta_schedule(eta_final: float, eta_start: float = 1.0) -> list[float]:
+def _eta_schedule(eta_final: float) -> list[float]:
     """Geometric 1 → eta_final with factor 1/2; final entry exact."""
     etas = []
-    e = eta_start
+    e = 1.0
     while e > eta_final:
         etas.append(e)
         e *= 0.5
@@ -160,64 +152,58 @@ def _eta_schedule(eta_final: float, eta_start: float = 1.0) -> list[float]:
     return etas
 
 
+def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int, to_z=lambda w: w):
+    """Warm-started continuation solve at z = to_z(x + i·e) for every x in xs.
+
+    e runs down the geometric schedule 1 → eta (a single stage when
+    eta ≥ 1), starting from g = i·min(1, 1/Im z). Intermediate stages are
+    capped at 2000 iterations (they only hand over a warm start); the
+    final stage enforces `tol`, and `max_iter` bounds the iterations of
+    the whole solve. Returns (z, g, residual, iterations); raises
+    :class:`ConvergenceError` naming the failing points if any lane
+    misses `tol`.
+    """
+    locs, wts = _check_weight_law(nu)
+    xs = np.asarray(xs, dtype=float)
+    etas = _eta_schedule(eta)
+    g = 1j * np.minimum(1.0, 1.0 / to_z(xs + 1j * etas[0]).imag)
+    total_it = 0
+    for k, e in enumerate(etas):
+        final = k == len(etas) - 1
+        z = to_z(xs + 1j * e)
+        budget = max_iter - total_it if final else min(2000, max_iter - total_it)
+        g, res, it = _iterate_many(z, locs, wts, g, tol if final else max(tol, 1e-11), budget)
+        total_it += it
+    bad = res > tol
+    if np.any(bad):
+        worst = int(np.argmax(res))
+        raise ConvergenceError(
+            f"{int(bad.sum())} of {len(xs)} points failed (worst residual "
+            f"{res[worst]:.3e} at x={float(xs[worst])!r}, eta={eta!r})",
+            best_residual=float(res[worst]),
+        )
+    return z, g, res, total_it
+
+
 def solve_g(
     z: complex,
     nu: DiscreteMeasure,
     tol: float = DEFAULT_TOL,
-    warm_start: complex | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> StieltjesSolution:
     """Solve the upper-half-plane fixed point at a single z (Im z > 0).
 
-    Starts from i·min(1, 1/Im z) unless `warm_start` is given. Raises
-    :class:`ConvergenceError` (carrying the best residual) if the damped
-    iteration does not reach `tol` within `max_iter` steps.
+    One lane of the continuation solve with eta = Im z, started from
+    i·min(1, 1/Im z) (a single stage when Im z ≥ 1). Raises
+    :class:`ConvergenceError` (carrying the best residual) if it does not
+    reach `tol` within `max_iter` iterations.
     """
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("need Im z > 0")
-    locs, wts = _check_weight_law(nu)
-    zv = np.array([z])
-    g0 = np.array([warm_start], dtype=complex) if warm_start is not None else _initial_guess(zv)
-    g, res, iterations = _iterate_many(zv, locs, wts, g0, tol, max_iter)
-    residual = float(res[0])
+    _, g, res, iterations = _solve(nu, [z.real], z.imag, tol, max_iter)
     gval = complex(g[0])
-    if residual > tol:
-        raise ConvergenceError(
-            f"no convergence at z={z!r} after {max_iter} iterations "
-            f"(best residual {residual:.3e})",
-            best_residual=residual,
-        )
-    return StieltjesSolution(z=z, g=gval, h=gval / z, residual=residual, iterations=iterations)
-
-
-def _continuation_many(
-    path,
-    eta_final: float,
-    locs: np.ndarray,
-    wts: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Warm-started solve along a family of targets z = path(eta).
-
-    `path` maps an imaginary offset eta to the lane targets. Intermediate
-    stages are iteration-capped (they only need to hand over a warm
-    start); the final stage enforces `tol`. Returns (z, g, residual,
-    total iterations).
-    """
-    etas = _eta_schedule(eta_final)
-    z = path(etas[0])
-    g = _initial_guess(z)
-    total_it = 0
-    for eta in etas[:-1]:
-        z = path(eta)
-        g, _, it = _iterate_many(z, locs, wts, g, max(tol, 1e-11), min(2000, max_iter))
-        total_it += it
-    z = path(etas[-1])
-    g, res, it = _iterate_many(z, locs, wts, g, tol, max_iter)
-    total_it += it
-    return z, g, res, total_it
+    return StieltjesSolution(z=z, g=gval, h=gval / z, residual=float(res[0]), iterations=iterations)
 
 
 def solve_real_line(
@@ -235,19 +221,7 @@ def solve_real_line(
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    locs, wts = _check_weight_law(nu)
-    xs = np.asarray(xs, dtype=float)
-    z, g, res, total_it = _continuation_many(
-        lambda e: xs + 1j * e, eta, locs, wts, tol, max_iter
-    )
-    bad = res > tol
-    if np.any(bad):
-        worst = int(np.argmax(res))
-        raise ConvergenceError(
-            f"{int(bad.sum())} of {len(xs)} points failed (worst residual "
-            f"{res[worst]:.3e} at x={xs[worst]!r})",
-            best_residual=float(res[worst]),
-        )
+    z, g, res, total_it = _solve(nu, xs, eta, tol, max_iter)
     return z, g, g / z, res, total_it
 
 
@@ -278,16 +252,7 @@ def density_mp(
         raise ValueError("x must be nonzero")
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    locs, wts = _check_weight_law(nu)
-    xv = np.array([float(x)])
-    z, g, res, _ = _continuation_many(
-        lambda e: np.sqrt(xv + 1j * e), eta, locs, wts, tol, max_iter
-    )
-    if res[0] > tol:
-        raise ConvergenceError(
-            f"no convergence at x={x!r} (best residual {res[0]:.3e})",
-            best_residual=float(res[0]),
-        )
+    z, g, _, _ = _solve(nu, [float(x)], eta, tol, max_iter, to_z=np.sqrt)
     h = g[0] / z[0]
     return float(h.imag / math.pi)
 
@@ -309,8 +274,28 @@ def _density_values(x_abs: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarr
 _ZERO_NODES = (0.01, 0.02)
 
 
-def _rho_zero_from_nodes(rho_1: float, rho_2: float) -> float:
-    return (4.0 * rho_1 - rho_2) / 3.0
+def _density_abs(nu: DiscreteMeasure, x_abs: np.ndarray, eta: float, tol: float, max_iter: int):
+    """Limit density at sorted values x_abs ≥ 0, with residuals and iterations.
+
+    A leading 0 is filled in by the even-quadratic extrapolation
+    (4·ρ(0.01) − ρ(0.02))/3 and requires nu({0}) = 0 (otherwise the limit
+    carries an atom at the origin and has no density value there).
+    """
+    has_zero = x_abs[0] == 0
+    if has_zero and nu.mass_at(0.0) > 0:
+        raise ValueError("density at 0 undefined when the weight law has mass at 0")
+    pos = x_abs[1:] if has_zero else x_abs
+    xs = np.unique(np.concatenate([pos, _ZERO_NODES])) if has_zero else pos
+    z, g, res, iterations = _solve(nu, xs, eta, tol, max_iter)
+    vals = _clamp_density(_density_values(xs, z, g / z))
+    at = np.searchsorted(xs, pos)
+    rho, residuals = vals[at], res[at]
+    if has_zero:
+        n1, n2 = np.searchsorted(xs, _ZERO_NODES)
+        rho0 = _clamp_density(np.array([(4.0 * vals[n1] - vals[n2]) / 3.0]))
+        rho = np.concatenate([rho0, rho])
+        residuals = np.concatenate([[max(res[n1], res[n2])], residuals])
+    return rho, residuals, iterations
 
 
 def density_mu(
@@ -328,17 +313,8 @@ def density_mu(
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    if x == 0:
-        if nu.mass_at(0.0) > 0:
-            raise ValueError("density at 0 undefined when the weight law has mass at 0")
-        xs = np.array(_ZERO_NODES)
-        z, g, h, _, _ = solve_real_line(nu, xs, eta=eta, tol=tol, max_iter=max_iter)
-        vals = _density_values(xs, z, h)
-        rho0 = _rho_zero_from_nodes(vals[0], vals[1])
-        return float(_clamp_density(np.array([rho0]))[0])
-    xs = np.array([abs(float(x))])
-    z, g, h, _, _ = solve_real_line(nu, xs, eta=eta, tol=tol, max_iter=max_iter)
-    return float(_clamp_density(_density_values(xs, z, h))[0])
+    rho, _, _ = _density_abs(nu, np.array([abs(float(x))]), eta, tol, max_iter)
+    return float(rho[0])
 
 
 def _clamp_density(rho: np.ndarray) -> np.ndarray:
@@ -422,26 +398,9 @@ def density_curve(
     the failing points named.
     """
     grid = symmetric_grid(x_max, points)
-    has_zero = bool(points % 2)
-    if has_zero and nu.mass_at(0.0) > 0:
-        raise ValueError("grid contains 0 but the weight law has mass at 0")
-    pos = grid[grid > 0]
-    xs = np.unique(np.concatenate([pos, np.array(_ZERO_NODES)])) if has_zero else pos
-    z, g, h, res, iterations = solve_real_line(nu, xs, eta=eta, tol=tol, max_iter=max_iter)
-    vals = _clamp_density(_density_values(xs, z, h))
-
-    rho_pos = vals[np.searchsorted(xs, pos)]
-    res_pos = res[np.searchsorted(xs, pos)]
-    if has_zero:
-        node_idx = np.searchsorted(xs, np.array(_ZERO_NODES))
-        rho0 = _clamp_density(
-            np.array([_rho_zero_from_nodes(vals[node_idx[0]], vals[node_idx[1]])])
-        )[0]
-        rho = np.concatenate([rho_pos[::-1], [rho0], rho_pos])
-        residuals = np.concatenate([res_pos[::-1], [max(res[node_idx[0]], res[node_idx[1]])], res_pos])
-    else:
-        rho = np.concatenate([rho_pos[::-1], rho_pos])
-        residuals = np.concatenate([res_pos[::-1], res_pos])
+    x_abs, mirror = np.unique(np.abs(grid), return_inverse=True)
+    rho, residuals, iterations = _density_abs(nu, x_abs, eta, tol, max_iter)
+    rho, residuals = rho[mirror], residuals[mirror]
     mass = float(np.trapezoid(rho, grid))
     return DensityCurve(
         grid=grid,

@@ -276,7 +276,9 @@ def support_mp(
         return 1.0 / v**2 - ((wts * locs**3) / den**2).sum(axis=-1)
 
     if exact_coeffs is not None:
-        per_gap = 2_000  # scan is only a net under the exact root finder
+        # np.roots on the expanded numerator can miss breakpoints (a 6-atom
+        # law in the tests has its three components merged into one without it)
+        per_gap = 2_000
     else:
         per_gap = min(_SCAN_POINTS_PER_GAP, max(64, _SCAN_BUDGET // max(1, len(bounds) * ell)))
 

@@ -208,6 +208,19 @@ def test_support_quantized_family_trace_and_mirror(tmp_path):
     ]
 
 
+def test_support_trace_keeps_a_row_budget(tmp_path):
+    rc = main(["support", "--measure", "one-plus-exponential:rate=1", "--quantize", "256",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    nu = quantize_measure(OnePlusExponential(rate=1.0).normalized(), 256)
+    _, trace = read_rows(tmp_path / "xi_trace.csv", "gap,v,xi,xi_prime")
+    assert len(trace) <= 20_000
+    assert {r[0] for r in trace} == {str(k) for k in range(257)}
+    for _, v, x, slope in trace:
+        assert float(x) == xi(float(v), nu)
+        assert float(slope) == xi_prime(float(v), nu)
+
+
 # -- phase diagram --------------------------------------------------------------------
 
 

@@ -81,6 +81,34 @@ def test_convergence_error_carries_best_residual():
     assert info.value.best_residual > 0
 
 
+CURVE_NODES = [*symmetric_grid(2.0, 21)[11:], 0.01, 0.02]
+
+
+@pytest.mark.parametrize("call, xs", [
+    (lambda: solve_g(complex(0.5, 1e-6), THREE_ATOM, max_iter=3), [0.5]),
+    (lambda: solve_real_line(THREE_ATOM, [0.25, 0.5], eta=1e-6, max_iter=3), [0.25, 0.5]),
+    (lambda: density_mp(0.5, THREE_ATOM, eta=1e-6, max_iter=3), [0.5]),
+    (lambda: density_mu(-0.5, THREE_ATOM, eta=1e-6, max_iter=3), [0.5]),
+    (lambda: density_curve(THREE_ATOM, x_max=2.0, points=21, eta=1e-6, max_iter=3), CURVE_NODES),
+], ids=["solve_g", "solve_real_line", "density_mp", "density_mu", "density_curve"])
+def test_every_entry_point_fails_through_the_one_continuation(call, xs):
+    # max_iter bounds the whole continuation, so 3 iterations cannot reach eta
+    with pytest.raises(ConvergenceError) as info:
+        call()
+    assert info.value.best_residual > 0
+    message = str(info.value)
+    assert f"residual {info.value.best_residual:.3e} " in message
+    assert "eta=1e-06" in message
+    assert any(f"x={float(x)!r}," in message for x in xs)
+
+
+def test_point_solve_is_a_lane_of_the_real_line_solve():
+    for nu in (DELTA_ONE, THREE_ATOM):
+        for x, eta in ((0.3, 1e-6), (-1.7, 0.01), (2.2, 0.5), (0.0, 1e-4)):
+            _, g, _, _, _ = solve_real_line(nu, [x], eta)
+            assert solve_g(complex(x, eta), nu).g == complex(g[0])
+
+
 # -- transform of the symmetric law ---------------------------------------------
 
 
@@ -222,6 +250,13 @@ def test_curve_cdf_endpoints_and_monotonicity():
     assert cdf[0] == 0.0
     assert math.isclose(cdf[-1], curve.mass, rel_tol=1e-12)
     assert np.all(np.diff(cdf) >= 0)
+
+
+def test_point_density_equals_curve_at_every_node():
+    for nu in (DELTA_ONE, THREE_ATOM):
+        curve = density_curve(nu, x_max=3.0, points=21)
+        assert 0.0 in curve.grid
+        assert [density_mu(x, nu) for x in curve.grid] == curve.rho.tolist()
 
 
 def test_curve_rejects_zero_node_with_zero_mass():

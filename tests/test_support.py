@@ -126,6 +126,26 @@ def test_three_atom_support():
     assert s[1] == pytest.approx((5.288271888385728, 12.62266137006506), abs=1e-7)
 
 
+def test_scan_net_finds_gaps_the_exact_roots_miss():
+    # np.roots on this law's expanded xi' numerator misses breakpoints:
+    # without the scan net under the exact root path the support came out
+    # as the single piece [0, 430.3]
+    nu = DiscreteMeasure.from_pairs(zip(
+        (0.18643164314841465, 0.28786449152328564, 0.6423354357283977,
+         4.771208976813408, 12.004744348250156, 30.5929982195561),
+        (0.05730863827843481, 0.0034400699127553665, 0.846722117833012,
+         0.09216345488348303, 0.0003482621302303739, 1.745696208448824e-05),
+    ))
+    s = support_mp(nu)
+    assert len(s) == 3
+    for x in (14.0, 25.0):
+        assert not s.contains(x)
+        assert density_mp(x, nu, eta=1e-8, tol=1e-12) < 1e-10
+    for x in (6.0, 16.0, 33.5):
+        assert s.contains(x)
+        assert density_mp(x, nu, eta=1e-8, tol=1e-12) > 1e-4
+
+
 def test_component_count_agrees_with_closed_form_on_a_sweep():
     rng = np.random.default_rng(9)
     for _ in range(50):
