@@ -293,18 +293,23 @@ def _cmd_support(run: _Run) -> int:
     return 0
 
 
+_XI_TRACE_ROWS = 20_000
+
+
 def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
     """Trace of the inverse transform over each pole-free interval.
 
     400 points per gap, fewer when there are more than 50 gaps, so the
-    trace stays within 20,000 rows.
+    trace stays within _XI_TRACE_ROWS rows; every gap keeps at least one
+    point (its left end), so past that many gaps the trace has one row
+    per gap.
     """
     locs, _ = nu.as_arrays()
     poles = np.sort(-1.0 / locs[locs > 0])
     span = float(poles[-1] - poles[0]) or 1.0
     lo = np.concatenate([[poles[0] - 1.5 * span], poles])
     hi = np.concatenate([poles, [0.0]])
-    points_per_gap = min(400, 20_000 // len(lo))
+    points_per_gap = max(1, min(400, _XI_TRACE_ROWS // len(lo)))
     vs = lo[:, None] + (hi - lo)[:, None] * np.linspace(1e-4, 1.0 - 1e-4, points_per_gap)
     # one gap at a time: all gaps at once would take points × atoms² memory
     xis = np.array([xi(row, nu) for row in vs])

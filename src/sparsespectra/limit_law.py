@@ -281,6 +281,8 @@ def _density_abs(nu: DiscreteMeasure, x_abs: np.ndarray, eta: float, tol: float,
     (4·ρ(0.01) − ρ(0.02))/3 and requires nu({0}) = 0 (otherwise the limit
     carries an atom at the origin and has no density value there).
     """
+    if not 0 < eta <= 1:
+        raise ValueError("eta must lie in (0, 1]")
     has_zero = x_abs[0] == 0
     if has_zero and nu.mass_at(0.0) > 0:
         raise ValueError("density at 0 undefined when the weight law has mass at 0")
@@ -311,8 +313,6 @@ def density_mu(
     x ∈ {0.01, 0.02} and requires nu({0}) = 0 (otherwise the limit carries
     an atom at the origin and has no density value there).
     """
-    if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
     rho, _, _ = _density_abs(nu, np.array([abs(float(x))]), eta, tol, max_iter)
     return float(rho[0])
 

@@ -14,6 +14,7 @@ from sparsespectra import (
     xi,
     xi_prime,
 )
+from sparsespectra import cli
 from sparsespectra.cli import main, parse_measure_spec
 
 
@@ -162,6 +163,14 @@ def test_density_rejects_groups_spec(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["density", "compare"])
+@pytest.mark.parametrize("eta", ["0", "-1e-6", "2"])
+def test_density_rejects_bad_eta(tmp_path, command, eta):
+    extra = ["--n", "50", "--seed", "1"] if command == "compare" else []
+    rc = main([command, "--measure", "delta:1", f"--eta={eta}", "--out", str(tmp_path), *extra])
+    assert rc == 2
+
+
 # -- support -----------------------------------------------------------------------
 
 
@@ -219,6 +228,15 @@ def test_support_trace_keeps_a_row_budget(tmp_path):
     for _, v, x, slope in trace:
         assert float(x) == xi(float(v), nu)
         assert float(slope) == xi_prime(float(v), nu)
+
+
+def test_support_trace_keeps_one_point_per_gap_past_the_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_XI_TRACE_ROWS", 100)
+    rc = main(["support", "--measure", "one-plus-exponential:rate=1", "--quantize", "256",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    _, trace = read_rows(tmp_path / "xi_trace.csv", "gap,v,xi,xi_prime")
+    assert [r[0] for r in trace] == [str(k) for k in range(257)]
 
 
 # -- phase diagram --------------------------------------------------------------------

@@ -180,6 +180,16 @@ def test_real_line_rejects_bad_eta():
         solve_real_line(DELTA_ONE, [1.0], eta=0.0)
 
 
+@pytest.mark.parametrize("eta", [0.0, -1e-6, 2.0])
+def test_densities_reject_bad_eta(eta):
+    with pytest.raises(ValueError, match="eta"):
+        density_curve(DELTA_ONE, x_max=2.0, points=21, eta=eta)
+    with pytest.raises(ValueError, match="eta"):
+        density_mu(0.5, DELTA_ONE, eta=eta)
+    with pytest.raises(ValueError, match="eta"):
+        density_mp(0.5, DELTA_ONE, eta=eta)
+
+
 # -- densities ------------------------------------------------------------------
 
 
