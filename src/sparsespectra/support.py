@@ -7,9 +7,16 @@ function
 
 inverts the square-law Stieltjes transform; a real point x lies OUTSIDE
 the square-law support exactly when xi(v) = x for some pole-free v with
-xi'(v) > 0. Scanning the sign of xi' between poles therefore yields the
-support intervals in closed form, up to root isolation of a polynomial.
-The symmetric limit support is the ± square-root image.
+xi'(v) > 0 (Silverstein & Choi, 1995). In u = 1/v this reads
+
+    X(u) = −u + E[D²] − Σ_a w_a·d_a³/(u + d_a),   X′(u) = φ(u) − 1,
+    φ(u) = Σ_a w_a·d_a³/(u + d_a)²,
+
+so the holes are the X-images of the pieces {φ < 1}. φ is strictly convex
+between consecutive poles u = −d_a, so each pole-free u-interval holds at
+most one piece, found by bisection; a two-pole lower bound on φ rules most
+interior gaps out before any bisection runs. The symmetric limit support is
+the ± square-root image.
 
 For two-atom weight laws the hole/no-hole question has a closed form,
 exposed here together with the cubic discriminant it came from.
@@ -19,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,10 +45,7 @@ __all__ = [
     "phase_diagram",
 ]
 
-_EXACT_ATOM_LIMIT = 8
-_SCAN_POINTS_PER_GAP = 10_000
-_SCAN_BUDGET = 400_000
-_BISECT_TOL = 1e-12
+_HOLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,111 +128,18 @@ def xi_prime(v, nu: DiscreteMeasure):
     return float(vals) if np.isscalar(v) else vals
 
 
-# -- exact numerator of xi' -----------------------------------------------
+def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Zero of f in every bracket [lo, hi] at once; f must rise across each.
 
-
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _xi_prime_numerator(locs: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Exact coefficients (ascending) of N(v) = v²·Π(1+vd)²·xi'(v).
-
-    N(v) = Π_a (1+v·d_a)² − v²·Σ_a w_a·d_a³·Π_{b≠a}(1+v·d_b)², expanded in
-    exact rational arithmetic (floats are dyadic rationals, so no rounding
-    happens until the final float conversion).
+    64 halvings take every bracket used here down to about the float
+    spacing of its ends.
     """
-    ds = [Fraction(float(d)) for d in locs]
-    ws = [Fraction(float(w)) for w in wts]
-    sq_factors = [_poly_mul([Fraction(1), d], [Fraction(1), d]) for d in ds]
-    # prefix/suffix products of the squared factors, to get each Π_{b≠a}
-    ell = len(ds)
-    prefix: list[list[Fraction]] = [[Fraction(1)]]
-    for f in sq_factors:
-        prefix.append(_poly_mul(prefix[-1], f))
-    suffix: list[list[Fraction]] = [[Fraction(1)]]
-    for f in reversed(sq_factors):
-        suffix.append(_poly_mul(suffix[-1], f))
-    suffix.reverse()
-    full = prefix[-1]
-    total = [Fraction(0)] * (2 * ell + 1)
-    for i, c in enumerate(full):
-        total[i] += c
-    for a in range(ell):
-        partial = _poly_mul(prefix[a], suffix[a + 1])
-        coeff = ws[a] * ds[a] ** 3
-        for i, c in enumerate(partial):
-            total[i + 2] -= coeff * c  # the v² factor shifts by two
-    while len(total) > 1 and total[-1] == 0:
-        total.pop()
-    return np.array([float(c) for c in total])
-
-
-def _horner(coeffs_ascending: np.ndarray, v: float) -> float:
-    acc = 0.0
-    for c in coeffs_ascending[::-1]:
-        acc = acc * v + c
-    return acc
-
-
-def _bisect_root(fun, lo: float, hi: float) -> float:
-    flo = fun(lo)
-    fhi = fun(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        return 0.5 * (lo + hi)
-    for _ in range(200):
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_TOL * max(1.0, abs(mid)):
-            return mid
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+        below = f(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def _scan_breakpoints(sign_fun, lo: float, hi: float, samples: np.ndarray) -> list[float]:
-    """Roots of a sign function located by scan + bisection inside (lo, hi)."""
-    vals = sign_fun(samples)
-    roots = []
-    for i in range(len(samples) - 1):
-        a, b = vals[i], vals[i + 1]
-        if np.isfinite(a) and np.isfinite(b) and (a > 0) != (b > 0):
-            roots.append(_bisect_root(lambda t: float(sign_fun(np.array([t]))[0]),
-                                      float(samples[i]), float(samples[i + 1])))
-    return roots
-
-
-def _gap_samples(lo: float, hi: float, k: int, scale: float) -> np.ndarray:
-    """Sample points inside (lo, hi); log-spaced tails for infinite ends."""
-    if math.isinf(lo) and math.isinf(hi):
-        raise ValueError("fully infinite gap")
-    if math.isinf(lo):
-        offs = np.geomspace(1e-9 * scale, 1e9 * scale, k)
-        return hi - offs[::-1]
-    if math.isinf(hi):
-        offs = np.geomspace(1e-9 * scale, 1e9 * scale, k)
-        return lo + offs
-    # dense near both endpoints (xi' diverges there), uniform in between;
-    # the exact midpoint is always included so a sign bump the scan misses
-    # can never straddle the representative used to classify the piece
-    w = hi - lo
-    inset = np.geomspace(1e-12, 0.25, k // 4)
-    pts = np.concatenate([lo + w * inset, lo + w * np.linspace(0.26, 0.74, k // 2),
-                          [0.5 * (lo + hi)], hi - w * inset[::-1]])
-    return np.unique(pts)
 
 
 def support_mp(
@@ -237,95 +147,76 @@ def support_mp(
     min_gap: float = 1e-3,
     x_cap: float | None = None,
 ) -> SupportIntervals:
-    """Support of the square law on [0, ∞) via the inverse-transform scan.
+    """Support of the square law on [0, ∞) from the convexity of φ.
 
-    Every maximal pole-free interval of the real v-line is scanned for
-    sign changes of xi'; on pieces with xi' > 0 the (increasing) image of
-    xi is removed from [0, ∞). Complement pieces narrower than `min_gap`
-    are absorbed (quantized continuous laws produce spurious micro-gaps).
-    For at most 8 distinct atoms the scan is seeded with every real root
-    of the exactly expanded numerator polynomial; beyond that a sign scan
-    with a global evaluation budget takes over. Root brackets are bisected
-    to 1e−12 relative width.
+    In u = 1/v the inverse transform is X(u) = −u + E[D²] − Σ w·d³/(u+d)
+    with X′ = φ − 1, φ(u) = Σ w·d³/(u+d)², so xi′ > 0 exactly where φ < 1.
+    Between consecutive poles u = −d, φ is strictly convex and blows up at
+    both ends, so each pole-free u-interval holds at most one piece
+    {φ < 1}, on which X decreases; the X-image of that piece is a hole.
+
+    - (−∞, −d_max) and (−d_min, ∞): φ is monotone there, one bisection of
+      φ = 1 each gives the holes (X(u_r), ∞) and (−∞, X(u_l)).
+    - An interior gap of width W between atoms with w·d³ = A and B has
+      φ ≥ (A^{1/3} + B^{1/3})³ / W² from those two terms alone; the gaps
+      where this is ≥ 1 hold no piece. On the rest, bisecting the rising
+      φ′ gives the minimiser u*; where φ(u*) < 1, φ = 1 is bracketed on
+      each side of u*. All gaps are solved together.
+
+    Holes are clipped to [0, ∞) and merged; complement pieces narrower than
+    `min_gap` are absorbed (quantized continuous laws produce spurious
+    micro-gaps), and `min_gap` must be ≥ 0 (inf absorbs every finite hole).
 
     The unit-mean precondition of the limit-law modules is deliberately
     not enforced here: the scan is a well-defined function of any positive
     atomic measure, which the test suite exploits on scaled families with
     known closed-form edges.
     """
+    if not min_gap >= 0:
+        raise ValueError(f"min_gap must be >= 0, got {min_gap}")
     locs, wts = _positive_atoms(nu)
-    ell = len(locs)
+    cubes = wts * locs**3
+    m2 = float((wts * locs**2).sum())
     if x_cap is None:
-        m2 = float((wts * locs**2).sum())
         x_cap = 4.0 * float(locs.max()) * (m2 + 1.0)
 
-    poles = np.sort(-1.0 / locs)  # ascending: -1/d_min < ... < -1/d_max < 0
-    bounds = [(-math.inf, poles[0])]
-    bounds += [(poles[i], poles[i + 1]) for i in range(ell - 1)]
-    bounds += [(poles[-1], 0.0), (0.0, math.inf)]
-    scale = float(np.abs(poles).max())
+    def phi(u: np.ndarray) -> np.ndarray:
+        return (cubes / (u[:, None] + locs) ** 2).sum(axis=1)
 
-    exact_coeffs = _xi_prime_numerator(locs, wts) if ell <= _EXACT_ATOM_LIMIT else None
-    candidate_roots: np.ndarray = np.empty(0)
-    if exact_coeffs is not None and len(exact_coeffs) > 1:
-        rr = np.roots(exact_coeffs[::-1])
-        candidate_roots = np.sort(rr.real[np.abs(rr.imag) <= 1e-9 * np.maximum(1.0, np.abs(rr))])
+    def big_x(u: np.ndarray) -> np.ndarray:
+        return -u + m2 - (cubes / (u[:, None] + locs)).sum(axis=1)
 
-    def xi_prime_vals(v: np.ndarray) -> np.ndarray:
-        den = 1.0 + np.multiply.outer(v, locs)
-        return 1.0 / v**2 - ((wts * locs**3) / den**2).sum(axis=-1)
+    def half_phi_slope(u: np.ndarray) -> np.ndarray:
+        t = u[:, None] + locs
+        return -(cubes / (t * t * t)).sum(axis=1)  # t**3 is several times slower
 
-    if exact_coeffs is not None:
-        # np.roots on the expanded numerator can miss breakpoints (a 6-atom
-        # law in the tests has its three components merged into one without it)
-        per_gap = 2_000
-    else:
-        per_gap = min(_SCAN_POINTS_PER_GAP, max(64, _SCAN_BUDGET // max(1, len(bounds) * ell)))
+    roots3 = np.cbrt(cubes)
+    open_gap = (roots3[1:] + roots3[:-1]) ** 3 < np.diff(locs) ** 2
+    left, right = -locs[1:][open_gap], -locs[:-1][open_gap]
+    u_min = _bisect(half_phi_slope, left, right)
+    dipped = phi(u_min) < 1.0
+    left, right, u_min = left[dipped], right[dipped], u_min[dipped]
+
+    # φ ≤ Σ w·d³ / (distance to the nearest pole)², so φ ≤ 1 at this reach
+    # beyond the outermost poles
+    reach = math.sqrt(float(cubes.sum()))
+    # piece starts (φ falls through 1): (−d_min, ∞), then each interior gap;
+    # piece ends (φ rises through 1): each interior gap, then (−∞, −d_max)
+    n = len(u_min)
+    lo = np.concatenate([[-locs[0]], left, u_min, [-locs[-1] - reach]])
+    hi = np.concatenate([[-locs[0] + reach], u_min, right, [-locs[-1]]])
+    rising = np.repeat([-1.0, 1.0], n + 1)
+    ends = _bisect(lambda u: rising * (phi(u) - 1.0), lo, hi)
+    # X falls across each piece, so its start gives the top of the hole and
+    # its end the bottom; X(−∞) = ∞ and X(∞) = −∞ close the outer holes
+    tops = big_x(np.append(ends[: n + 1], -math.inf))
+    bottoms = big_x(np.insert(ends[n + 1:], 0, math.inf))
 
     holes: list[tuple[float, float]] = []
-    for lo, hi in bounds:
-        breakpoints: list[float] = []
-        if exact_coeffs is not None:
-            inside = candidate_roots[(candidate_roots > lo) & (candidate_roots < hi)]
-            margin = 1e-9 * scale
-            for r in inside:
-                blo = max(r - max(1e-8, 1e-8 * abs(r)), lo + margin if math.isfinite(lo) else r - 1.0)
-                bhi = min(r + max(1e-8, 1e-8 * abs(r)), hi - margin if math.isfinite(hi) else r + 1.0)
-                f = lambda t: _horner(exact_coeffs, t)
-                if (f(blo) > 0) != (f(bhi) > 0):
-                    breakpoints.append(_bisect_root(f, blo, bhi))
-                else:
-                    breakpoints.append(float(r))
-        samples = _gap_samples(lo, hi, per_gap, scale)
-        breakpoints.extend(_scan_breakpoints(xi_prime_vals, lo, hi, samples))
-        breakpoints = sorted(set(breakpoints))
-        merged: list[float] = []
-        for r in breakpoints:
-            if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):
-                merged.append(r)
-
-        # classify each sub-piece by the sign of xi' at a representative
-        edges = [lo] + merged + [hi]
-        for a, b in zip(edges, edges[1:]):
-            if math.isinf(a):
-                rep = b - max(1.0, abs(b))
-            elif math.isinf(b):
-                rep = a + max(1.0, abs(a))
-            else:
-                rep = 0.5 * (a + b)
-            if rep == 0.0 or xi_prime_vals(np.array([rep]))[0] <= 0:
-                continue
-            # increasing piece: image is (xi(a+), xi(b-)); an inverted image
-            # means the xi'-sign at the representative was rounding noise
-            # (it happens in the far tails where xi' ~ (mean-1)/v^2), so the
-            # piece is a phantom and testifies to nothing
-            left = _xi_limit(a, nu, side=+1)
-            right = _xi_limit(b, nu, side=-1)
-            if right <= left:
-                continue
-            img_lo, img_hi = max(left, 0.0), right
-            if img_hi > img_lo:
-                holes.append((img_lo, img_hi))
+    for bottom, top in zip(bottoms, tops):
+        img_lo, img_hi = max(float(bottom), 0.0), float(top)
+        if img_hi > img_lo:
+            holes.append((img_lo, img_hi))
 
     holes.sort()
     merged_holes: list[list[float]] = []
@@ -334,9 +225,9 @@ def support_mp(
             merged_holes[-1][1] = max(merged_holes[-1][1], hi_h)
         else:
             merged_holes.append([lo_h, hi_h])
-    # holes narrower than the bisection resolution cannot be distinguished
-    # from endpoint rounding, whatever min_gap asks for
-    width_floor = max(min_gap, _BISECT_TOL * max(1.0, x_cap))
+    # holes narrower than this cannot be told from endpoint rounding,
+    # whatever min_gap asks for
+    width_floor = max(min_gap, _HOLE_TOL * max(1.0, x_cap))
     filtered = [
         (a, b) for a, b in merged_holes if math.isinf(b) or (b - a) >= width_floor
     ]
@@ -352,19 +243,6 @@ def support_mp(
     if cursor < x_cap:
         support.append((cursor, x_cap))
     return SupportIntervals(tuple(support))
-
-
-def _xi_limit(v: float, nu: DiscreteMeasure, side: int) -> float:
-    """xi at an endpoint: value at a root, limit at 0/±inf, ±inf at a pole."""
-    if math.isinf(v):
-        return 0.0  # xi ~ (mean-1)/v
-    if v == 0.0:
-        return -math.inf if side > 0 else math.inf
-    locs, _ = _positive_atoms(nu)
-    if np.any(np.abs(1.0 + v * locs) < 1e-300):
-        # approaching a pole: the dominating atom term blows up
-        return math.inf if side > 0 else -math.inf
-    return float(xi(v, nu))
 
 
 def support_mu(

@@ -196,6 +196,13 @@ def test_support_min_gap_flag(tmp_path):
     assert len(sq) == 1
 
 
+@pytest.mark.parametrize("min_gap", ["nan", "-1e-3"])
+def test_support_rejects_bad_min_gap(tmp_path, min_gap):
+    rc = main(["support", "--measure", "two-atom:alpha=7,beta=0.5", f"--min-gap={min_gap}",
+               "--out", str(tmp_path)])
+    assert rc == 2
+
+
 def test_support_quantized_family_trace_and_mirror(tmp_path):
     rc = main(["support", "--measure", "one-plus-exponential:rate=1", "--quantize", "16",
                "--out", str(tmp_path)])

@@ -7,10 +7,13 @@ import pytest
 
 from sparsespectra import (
     DiscreteMeasure,
+    OnePlusExponential,
     SupportIntervals,
     TwoAtomLaw,
     density_mp,
+    UniformLaw,
     phase_diagram,
+    quantize_measure,
     solve_g,
     support_mp,
     support_mu,
@@ -127,9 +130,9 @@ def test_three_atom_support():
 
 
 def test_scan_net_finds_gaps_the_exact_roots_miss():
-    # np.roots on this law's expanded xi' numerator misses breakpoints:
-    # without the scan net under the exact root path the support came out
-    # as the single piece [0, 430.3]
+    # kept for its law: np.roots on the expanded polynomial numerator of xi'
+    # missed breakpoints here, and without a sampled scan net on top the
+    # support came out as the single piece [0, 430.3]
     nu = DiscreteMeasure.from_pairs(zip(
         (0.18643164314841465, 0.28786449152328564, 0.6423354357283977,
          4.771208976813408, 12.004744348250156, 30.5929982195561),
@@ -144,6 +147,58 @@ def test_scan_net_finds_gaps_the_exact_roots_miss():
     for x in (6.0, 16.0, 33.5):
         assert s.contains(x)
         assert density_mp(x, nu, eta=1e-8, tol=1e-12) > 1e-4
+
+
+def test_unit_mean_law_keeps_its_support():
+    # the expanded numerator's leading coefficient, Π d² · (1 − mean), kept a
+    # 2.8e-20 float residue here and the support collapsed to {0}
+    nu = TwoAtomLaw(alpha=1.8358301196911324, beta=0.01881255041667277).measure()
+    s = support_mp(nu)
+    assert len(s) == 1
+    (a, edge), = s
+    assert a == 0.0
+    assert edge == pytest.approx(7.3117, rel=1e-4)
+    assert density_mp(0.99 * edge, nu, eta=1e-8, tol=1e-12) > 1e-3
+    assert density_mp(1.01 * edge, nu, eta=1e-8, tol=1e-12) < 1e-8
+
+
+def test_density_confirms_the_support_of_random_laws():
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        k = int(rng.integers(1, 13))
+        d = np.exp(rng.uniform(-3.0, 3.0, k))
+        w = rng.dirichlet(np.ones(k))
+        nu = DiscreteMeasure.from_pairs(zip(d / float(w @ d), w)).normalized()
+        s = support_mp(nu)
+        for a, b in s:
+            if b - a > 1e-3:
+                assert density_mp(0.5 * (a + b), nu) > 1e-6, (nu, s)
+        for a, b in s.gaps():
+            assert density_mp(0.5 * (a + b), nu) < 1e-4, (nu, s)
+
+
+@pytest.mark.parametrize("law, edge", [
+    (OnePlusExponential(rate=1.0), 7.223597282256755),
+    (UniformLaw(low=0.0, high=2.0), 5.823106535220926),
+])
+def test_default_quantized_laws_keep_their_support(law, edge):
+    # 2048 atoms: the two-pole bound leaves 1 (1+Exp) and 63 (Uniform) of
+    # the 2047 interior gaps to solve
+    (a, b), = support_mp(quantize_measure(law.normalized(), 2048)).intervals
+    assert a == 0.0
+    assert b == pytest.approx(edge, abs=1e-10)
+
+
+@pytest.mark.parametrize("min_gap", [math.nan, -1e-3, -math.inf])
+def test_support_rejects_bad_min_gap(min_gap):
+    with pytest.raises(ValueError, match="min_gap"):
+        support_mp(HOLED.measure(), min_gap=min_gap)
+
+
+def test_infinite_min_gap_absorbs_every_finite_hole():
+    (a, b), = support_mp(HOLED.measure(), min_gap=math.inf)
+    assert a == 0.0
+    assert b == pytest.approx(21.283106135054034, abs=1e-8)
 
 
 def test_component_count_agrees_with_closed_form_on_a_sweep():
