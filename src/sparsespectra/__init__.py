@@ -9,7 +9,6 @@ two-atom hole phase diagram.
 from .degrees import (
     DegreeGroup,
     DegreeSequence,
-    DegreeSpec,
     build_degree_sequence,
     build_grouped_degrees,
     degree_esd,
@@ -17,12 +16,10 @@ from .degrees import (
 from .families import ContinuousLaw, OnePlusExponential, UniformLaw, parse_family
 from .graphs import (
     Multigraph,
-    SymmetricMatrix,
     extend_configuration,
     sample_configuration,
     sample_poissonized,
     scaled_adjacency,
-    single_adjacency,
 )
 from .limit_law import (
     ConvergenceError,
@@ -73,14 +70,12 @@ __all__ = [
     "ConvergenceError",
     "DegreeGroup",
     "DegreeSequence",
-    "DegreeSpec",
     "DensityCurve",
     "DiscreteMeasure",
     "Multigraph",
     "OnePlusExponential",
     "StieltjesSolution",
     "SupportIntervals",
-    "SymmetricMatrix",
     "TwoAtomLaw",
     "UniformLaw",
     "atom_mass_at_zero",
@@ -102,7 +97,6 @@ __all__ = [
     "sample_configuration",
     "sample_poissonized",
     "scaled_adjacency",
-    "single_adjacency",
     "size_bias",
     "solve_g",
     "solve_real_line",

@@ -14,8 +14,8 @@ Measure specs accepted by --measure:
     groups:sqrt@one-plus-exponential(rate=1)@sqrt;rest@uniform(low=0,high=2)@log
     path/to/file                              'location weight' lines
 
-Continuous families are sampled i.i.d. on the graph side (normalized to
-unit mean) and quantized on the limit-law side. The groups form feeds the
+Continuous families are rescaled to unit mean once, then sampled i.i.d. on
+the graph side and quantized on the limit-law side. The groups form feeds the
 mixed-regime degree builder and is only meaningful for sampling commands.
 
 A config file (--config, key=value lines, '#' comments) may supply any
@@ -31,12 +31,7 @@ import sys
 
 import numpy as np
 
-from .degrees import (
-    DegreeGroup,
-    DegreeSpec,
-    build_degree_sequence,
-    build_grouped_degrees,
-)
+from .degrees import DegreeGroup, _resolve_scale, build_degree_sequence, build_grouped_degrees
 from .families import ContinuousLaw, parse_family
 from .graphs import sample_configuration, sample_poissonized, scaled_adjacency
 from .limit_law import (
@@ -86,6 +81,9 @@ def parse_measure_spec(text: str):
         return DiscreteMeasure.from_pairs(pairs)
     if head == "two-atom":
         kw = dict(item.split("=") for item in tail.split(","))
+        missing = [key for key in ("alpha", "beta") if key not in kw]
+        if missing:
+            raise ValueError(f"two-atom spec lacks {' and '.join(missing)}")
         return TwoAtomLaw(alpha=float(kw["alpha"]), beta=float(kw["beta"])).measure()
     if head == "groups":
         groups = []
@@ -106,36 +104,24 @@ def parse_measure_spec(text: str):
     return parse_family(f"{head}({tail})")
 
 
+def _read_measure(run: _Run):
+    """The --measure spec, a continuous law rescaled to unit mean."""
+    spec = parse_measure_spec(run.get("measure"))
+    return spec.normalized() if isinstance(spec, ContinuousLaw) else spec
+
+
 def _limit_weight_law(spec, quantize_m: int) -> DiscreteMeasure:
     """Weight law for the limit-law/support modules (unit-mean, atomic)."""
     if isinstance(spec, list):
         raise ValueError("a groups spec has no single limiting weight law")
-    if isinstance(spec, ContinuousLaw):
-        return quantize_measure(spec.normalized(), quantize_m)
-    return spec
+    return quantize_measure(spec, quantize_m)
 
 
-def _degree_spec(spec) -> DegreeSpec | list[DegreeGroup]:
+def _build_sequence(run: _Run, spec, n: int, seed: int):
     if isinstance(spec, list):
-        return spec
-    if isinstance(spec, ContinuousLaw):
-        return DegreeSpec.iid(spec)
-    return DegreeSpec.atoms(spec)
-
-
-def _build_sequence(spec, n: int, omega_target: float, seed: int):
-    ds = _degree_spec(spec)
-    if isinstance(ds, list):
-        return build_grouped_degrees(ds, n, seed=seed)
-    return build_degree_sequence(ds, n, omega_target, seed=seed)
-
-
-def _resolve_omega(rule: str, n: int) -> float:
-    if rule == "sqrt":
-        return math.sqrt(n)
-    if rule == "log":
-        return math.log(n)
-    return float(rule)
+        return build_grouped_degrees(spec, n, seed=seed)
+    omega_target = _resolve_scale(run.get("omega", default="sqrt"), n)
+    return build_degree_sequence(spec, n, omega_target, seed=seed)
 
 
 def _parse_grid(text: str) -> tuple[float, int]:
@@ -221,9 +207,7 @@ def _out_dir(run: _Run) -> str:
 def _cmd_sample(run: _Run) -> int:
     n = run.get("n", int)
     seed = run.get("seed", int)
-    omega_rule = run.get("omega", default="sqrt")
-    spec = parse_measure_spec(run.get("measure"))
-    seq = _build_sequence(spec, n, _resolve_omega(omega_rule, n), seed)
+    seq = _build_sequence(run, _read_measure(run), n, seed)
     sampler = sample_poissonized if run.flag("poissonized") else sample_configuration
     graph = sampler(seq, seed=seed + 1)
     out = _out_dir(run)
@@ -238,8 +222,7 @@ def _cmd_sample(run: _Run) -> int:
 
 
 def _sampled_eigenvalues(run: _Run, spec, n: int, seed: int):
-    omega_rule = run.get("omega", default="sqrt")
-    seq = _build_sequence(spec, n, _resolve_omega(omega_rule, n), seed)
+    seq = _build_sequence(run, spec, n, seed)
     sampler = sample_poissonized if run.flag("poissonized") else sample_configuration
     graph = sampler(seq, seed=seed + 1)
     adj = scaled_adjacency(graph, seq.omega, single=run.flag("single_adjacency"))
@@ -249,7 +232,7 @@ def _sampled_eigenvalues(run: _Run, spec, n: int, seed: int):
 def _cmd_esd(run: _Run) -> int:
     n = run.get("n", int)
     seed = run.get("seed", int)
-    spec = parse_measure_spec(run.get("measure"))
+    spec = _read_measure(run)
     seq, graph, eigs = _sampled_eigenvalues(run, spec, n, seed)
     out = _out_dir(run)
     meta = run.echo(omega_realized=f"{seq.omega:.17g}", edge_total=graph.edge_total)
@@ -260,7 +243,7 @@ def _cmd_esd(run: _Run) -> int:
 
 
 def _cmd_density(run: _Run) -> int:
-    spec = parse_measure_spec(run.get("measure"))
+    spec = _read_measure(run)
     nu = _limit_weight_law(spec, run.get("quantize", int, default=2048))
     x_max, points = _parse_grid(run.get("grid", default="3.0:601"))
     eta = run.get("eta", float, default=1e-6)
@@ -278,7 +261,7 @@ def _cmd_density(run: _Run) -> int:
 
 
 def _cmd_support(run: _Run) -> int:
-    spec = parse_measure_spec(run.get("measure"))
+    spec = _read_measure(run)
     nu = _limit_weight_law(spec, run.get("quantize", int, default=2048))
     min_gap = run.get("min_gap", float, default=1e-3)
     out = _out_dir(run)
@@ -294,6 +277,7 @@ def _cmd_support(run: _Run) -> int:
 
 
 _XI_TRACE_ROWS = 20_000
+_XI_TRACE_CELLS = 1 << 17  # point·atom cells evaluated at once
 
 
 def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
@@ -302,7 +286,9 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
     400 points per gap, fewer when there are more than 50 gaps, so the
     trace stays within _XI_TRACE_ROWS rows; every gap keeps at least one
     point (its left end), so past that many gaps the trace has one row
-    per gap.
+    per gap. Whole gaps are evaluated in blocks of at most
+    _XI_TRACE_CELLS point·atom cells (at least one gap per block): all
+    gaps at once would take points × atoms² memory.
     """
     locs, _ = nu.as_arrays()
     poles = np.sort(-1.0 / locs[locs > 0])
@@ -311,9 +297,10 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
     hi = np.concatenate([poles, [0.0]])
     points_per_gap = max(1, min(400, _XI_TRACE_ROWS // len(lo)))
     vs = lo[:, None] + (hi - lo)[:, None] * np.linspace(1e-4, 1.0 - 1e-4, points_per_gap)
-    # one gap at a time: all gaps at once would take points × atoms² memory
-    xis = np.array([xi(row, nu) for row in vs])
-    slopes = np.array([xi_prime(row, nu) for row in vs])
+    step = max(1, _XI_TRACE_CELLS // (points_per_gap * len(poles)))
+    blocks = [vs[k:k + step] for k in range(0, len(vs), step)]
+    xis = np.concatenate([xi(block, nu) for block in blocks])
+    slopes = np.concatenate([xi_prime(block, nu) for block in blocks])
     gaps = np.repeat(np.arange(len(vs)), points_per_gap)
     write_table(path, ("gap", "v", "xi", "xi_prime"), gaps, vs.ravel(), xis.ravel(),
                 slopes.ravel(), metadata=metadata)
@@ -347,7 +334,7 @@ def _auto_curve(nu: DiscreteMeasure, run: _Run, eigs: np.ndarray) -> DensityCurv
 def _cmd_compare(run: _Run) -> int:
     n = run.get("n", int)
     seed = run.get("seed", int)
-    spec = parse_measure_spec(run.get("measure"))
+    spec = _read_measure(run)
     nu = _limit_weight_law(spec, run.get("quantize", int, default=2048))
     seq, graph, eigs = _sampled_eigenvalues(run, spec, n, seed)
     try:
@@ -372,9 +359,7 @@ def _cmd_compare(run: _Run) -> int:
 def _cmd_couple(run: _Run) -> int:
     n = run.get("n", int)
     seed = run.get("seed", int)
-    spec = parse_measure_spec(run.get("measure"))
-    omega_rule = run.get("omega", default="sqrt")
-    seq = _build_sequence(spec, n, _resolve_omega(omega_rule, n), seed)
+    seq = _build_sequence(run, _read_measure(run), n, seed)
     g_conf = sample_configuration(seq, seed=seed + 1)
     g_pois = sample_poissonized(seq, seed=seed + 2)
     single = run.flag("single_adjacency")

@@ -1,10 +1,11 @@
 """Degree sequences for sparse multigraph ensembles.
 
 A degree sequence assigns every vertex an integer degree D_i = floor(w·t_i),
-where w is the target average-degree scale and t_i are unit-mean weights,
-either assigned deterministically in proportion to an atomic law or drawn
-i.i.d. from a continuous family. The realized scale omega is always
-recomputed exactly as (total degree)/n = 2|E|/n.
+where w is the target average-degree scale and t_i are the weights of a
+law: a :class:`DiscreteMeasure` hands its atoms to vertex counts in
+proportion to their weights, a :class:`ContinuousLaw` is sampled i.i.d.
+Either law is taken as given (callers rescale to unit mean). The realized
+scale omega is always recomputed exactly as (total degree)/n = 2|E|/n.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import ContinuousLaw, parse_family
+from .families import ContinuousLaw
 from .measures import DiscreteMeasure
 from .tables import write_rows
 
 __all__ = [
-    "DegreeSpec",
     "DegreeSequence",
     "DegreeGroup",
     "build_degree_sequence",
@@ -27,51 +27,6 @@ __all__ = [
     "degree_esd",
     "largest_remainder_counts",
 ]
-
-
-@dataclass(frozen=True)
-class DegreeSpec:
-    """How per-vertex weights t_i are produced.
-
-    kind="atoms": deterministic assignment; vertex counts proportional to
-    the atom weights (largest-remainder rounding), t_i equal to the atom
-    locations.
-
-    kind="iid": t_i sampled i.i.d. from `law`, rescaled to unit mean.
-    """
-
-    kind: str
-    measure: DiscreteMeasure | None = None
-    law: ContinuousLaw | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "atoms":
-            if self.measure is None or self.law is not None:
-                raise ValueError("atoms spec needs exactly a measure")
-            if not self.measure.nonnegative():
-                raise ValueError("degree weights must be nonnegative")
-        elif self.kind == "iid":
-            if self.law is None or self.measure is not None:
-                raise ValueError("iid spec needs exactly a law")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-    @classmethod
-    def atoms(cls, measure: DiscreteMeasure) -> "DegreeSpec":
-        return cls("atoms", measure=measure)
-
-    @classmethod
-    def iid(cls, law: ContinuousLaw | str) -> "DegreeSpec":
-        if isinstance(law, str):
-            law = parse_family(law)
-        return cls("iid", law=law.normalized())
-
-    def describe(self) -> str:
-        if self.kind == "atoms":
-            m = self.measure
-            inner = ",".join(f"{x:g}:{w:g}" for x, w in zip(m.locations, m.weights))
-            return f"atoms({inner})"
-        return f"iid({self.law.describe()})"
 
 
 @dataclass(frozen=True)
@@ -143,32 +98,49 @@ def largest_remainder_counts(n: int, weights) -> np.ndarray:
     return counts
 
 
-def build_degree_sequence(
-    spec: DegreeSpec, n: int, omega_target: float, seed=None
-) -> DegreeSequence:
-    """Realize integer degrees floor(omega_target · t_i) for n vertices.
+def _resolve_scale(rule: str | float, n: int) -> float:
+    """Degree scale for n vertices: "sqrt", "log", or a number."""
+    if rule == "sqrt":
+        return math.sqrt(n)
+    if rule == "log":
+        return math.log(n)
+    return float(rule)
 
-    If the total comes out odd the last vertex gains one half-edge, so the
-    sum is always even; omega is then recomputed from the realized total.
-    Rejects all-zero outcomes (no edges to match).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if omega_target < 1:
-        raise ValueError("need omega_target >= 1")
-    if spec.kind == "atoms":
-        locs, wts = spec.measure.as_arrays()
-        counts = largest_remainder_counts(n, wts)
-        weights_per_vertex = np.repeat(locs, counts)
-    else:
-        rng = np.random.default_rng(seed)
-        weights_per_vertex = spec.law.sample(rng, n)
-    degrees = np.floor(omega_target * weights_per_vertex).astype(np.int64)
+
+def _even_sequence(degrees: np.ndarray) -> DegreeSequence:
+    """Give the last vertex one more half-edge if the total is odd, and
+    reject an all-zero outcome (no edges to match)."""
     if degrees.sum() % 2 != 0:
         degrees[-1] += 1
     if degrees.sum() == 0:
-        raise ValueError("spec produced an all-zero degree sequence")
+        raise ValueError("all-zero degree sequence: no edges to match")
     return DegreeSequence.from_degrees(degrees.tolist())
+
+
+def build_degree_sequence(
+    law: DiscreteMeasure | ContinuousLaw, n: int, omega_target: float, seed=None
+) -> DegreeSequence:
+    """Realize integer degrees floor(omega_target · t_i) for n vertices.
+
+    A DiscreteMeasure gives each atom a largest-remainder share of the n
+    vertices, t_i its location; a ContinuousLaw draws t_i i.i.d. from
+    `seed`. If the total comes out odd the last vertex gains one half-edge,
+    so the sum is always even; omega is then recomputed from the realized
+    total. Rejects all-zero outcomes (no edges to match).
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if not 1 <= omega_target < math.inf:
+        raise ValueError(f"omega_target must be finite and >= 1 (got {omega_target!r})")
+    if isinstance(law, DiscreteMeasure):
+        if not law.nonnegative():
+            raise ValueError("degree weights must be nonnegative")
+        locs, wts = law.as_arrays()
+        weights_per_vertex = np.repeat(locs, largest_remainder_counts(n, wts))
+    else:
+        weights_per_vertex = law.sample(np.random.default_rng(seed), n)
+    degrees = np.floor(omega_target * weights_per_vertex).astype(np.int64)
+    return _even_sequence(degrees)
 
 
 @dataclass(frozen=True)
@@ -193,13 +165,6 @@ class DegreeGroup:
             return int(round(self.count * n))
         return int(self.count)
 
-    def resolve_scale(self, n: int) -> float:
-        if self.scale == "sqrt":
-            return math.sqrt(n)
-        if self.scale == "log":
-            return math.log(n)
-        return float(self.scale)
-
 
 def build_grouped_degrees(groups, n: int, seed=None) -> DegreeSequence:
     """Mixed-regime builder: each group supplies its own count and scale.
@@ -222,13 +187,8 @@ def build_grouped_degrees(groups, n: int, seed=None) -> DegreeSequence:
         if c == 0:
             continue
         t = g.law.sample(rng, c)
-        degree_blocks.append(np.floor(g.resolve_scale(n) * t).astype(np.int64))
-    degrees = np.concatenate(degree_blocks)
-    if degrees.sum() % 2 != 0:
-        degrees[-1] += 1
-    if degrees.sum() == 0:
-        raise ValueError("groups produced an all-zero degree sequence")
-    return DegreeSequence.from_degrees(degrees.tolist())
+        degree_blocks.append(np.floor(_resolve_scale(g.scale, n) * t).astype(np.int64))
+    return _even_sequence(np.concatenate(degree_blocks))
 
 
 def degree_esd(seq: DegreeSequence) -> DiscreteMeasure:

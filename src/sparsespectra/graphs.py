@@ -12,12 +12,15 @@ Three samplers share the :class:`Multigraph` output type:
 * :func:`extend_configuration` — grows an existing configuration sample to
   a larger degree sequence so that the result is again a configuration
   sample (the marked-half-edge coupling, run in the extension direction).
+
+:func:`scaled_adjacency` turns a sample into the plain dense ndarray
+A/sqrt(omega), symmetric by construction, whose spectrum the limit law
+describes.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +30,9 @@ from .tables import write_rows
 
 __all__ = [
     "Multigraph",
-    "SymmetricMatrix",
     "sample_configuration",
     "sample_poissonized",
     "extend_configuration",
-    "single_adjacency",
     "scaled_adjacency",
 ]
 
@@ -293,54 +294,8 @@ def extend_configuration(
     return Multigraph.from_instances(g.n, np.concatenate(out_i), np.concatenate(out_j))
 
 
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Dense real symmetric matrix, symmetric by construction."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("need a square matrix")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix is not exactly symmetric")
-        object.__setattr__(self, "data", a)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @classmethod
-    def from_lower_triangle(cls, n: int, tri: np.ndarray) -> "SymmetricMatrix":
-        a = np.zeros((n, n))
-        idx = np.tril_indices(n)
-        a[idx] = tri
-        a = a + a.T - np.diag(np.diag(a))
-        return cls(a)
-
-    def save(self, path) -> None:
-        """Binary: n as little-endian uint64, then the row-major lower triangle."""
-        idx = np.tril_indices(self.n)
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<Q", self.n))
-            fh.write(self.data[idx].astype("<f8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "SymmetricMatrix":
-        with open(path, "rb") as fh:
-            (n,) = struct.unpack("<Q", fh.read(8))
-            tri = np.frombuffer(fh.read(8 * n * (n + 1) // 2), dtype="<f8")
-        return cls.from_lower_triangle(n, tri.astype(float))
-
-
-def single_adjacency(g: Multigraph) -> SymmetricMatrix:
-    """Adjacency with every entry clamped to at most 1 (diagonal included)."""
-    return SymmetricMatrix(g.adjacency(single=True))
-
-
-def scaled_adjacency(g: Multigraph, omega: float, single: bool = False) -> SymmetricMatrix:
+def scaled_adjacency(g: Multigraph, omega: float, single: bool = False) -> np.ndarray:
     """Adjacency divided by sqrt(omega); the spectral object of interest."""
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return SymmetricMatrix(g.adjacency(single=single) / math.sqrt(omega))
+    return g.adjacency(single=single) / math.sqrt(omega)

@@ -158,11 +158,13 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int, to_z=
     e runs down the geometric schedule 1 → eta (a single stage when
     eta ≥ 1), starting from g = i·min(1, 1/Im z). Intermediate stages are
     capped at 2000 iterations (they only hand over a warm start); the
-    final stage enforces `tol`, and `max_iter` bounds the iterations of
-    the whole solve. Returns (z, g, residual, iterations); raises
+    final stage enforces `tol` (0 < tol < inf), and `max_iter` bounds the
+    iterations of the whole solve. Returns (z, g, residual, iterations); raises
     :class:`ConvergenceError` naming the failing points if any lane
     misses `tol`.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must lie in (0, inf) (got {tol!r})")
     locs, wts = _check_weight_law(nu)
     xs = np.asarray(xs, dtype=float)
     etas = _eta_schedule(eta)
@@ -335,8 +337,8 @@ def symmetric_grid(x_max: float, points: int) -> np.ndarray:
     """
     if points < 2:
         raise ValueError("need at least 2 points")
-    if x_max <= 0:
-        raise ValueError("x_max must be positive")
+    if not 0 < x_max < math.inf:
+        raise ValueError(f"x_max must be positive and finite (got {x_max!r})")
     if points % 2:
         pos = np.linspace(0.0, x_max, points // 2 + 1)[1:]
         return np.concatenate([-pos[::-1], [0.0], pos])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import SymmetricMatrix
 from .measures import DiscreteMeasure
 from .tables import write_table
 
@@ -18,32 +17,38 @@ __all__ = [
 ]
 
 
-def eigenvalues_symmetric(m: SymmetricMatrix | np.ndarray) -> np.ndarray:
-    """All real eigenvalues, sorted descending."""
-    a = m.data if isinstance(m, SymmetricMatrix) else np.asarray(m, dtype=float)
-    return np.linalg.eigvalsh(a)[::-1]
+def eigenvalues_symmetric(a) -> np.ndarray:
+    """All real eigenvalues of a symmetric matrix, sorted descending.
+
+    Reads only the lower triangle (the upper one is taken to mirror it);
+    symmetry is not checked.
+    """
+    return np.linalg.eigvalsh(np.asarray(a, dtype=float))[::-1]
 
 
 def esd(eigenvalues_or_matrix) -> DiscreteMeasure:
-    """Uniform probability measure on the eigenvalues (weight 1/n each)."""
-    if isinstance(eigenvalues_or_matrix, (SymmetricMatrix, np.ndarray)) and getattr(
-        eigenvalues_or_matrix, "ndim", 2
-    ) == 2:
+    """Uniform probability measure on the eigenvalues (weight 1/n each).
+
+    A 2-d input is a symmetric matrix and is diagonalized first.
+    """
+    if np.ndim(eigenvalues_or_matrix) == 2:
         eigs = eigenvalues_symmetric(eigenvalues_or_matrix)
     else:
         eigs = np.asarray(eigenvalues_or_matrix, dtype=float)
     return DiscreteMeasure.from_samples(eigs)
 
 
-def trace_distance_bound(a: SymmetricMatrix, b: SymmetricMatrix) -> float:
+def trace_distance_bound(a, b) -> float:
     """sqrt(trace((A−B)²)/n): a rearrangement bound on how far two spectra
     can drift apart, hence an upper bound on smooth-test-function distances
     (and on the 1-Wasserstein distance) between the two ESDs.
     """
-    if a.n != b.n:
-        raise ValueError(f"matrix orders differ: {a.n} vs {b.n}")
-    d = a.data - b.data
-    return float(np.sqrt(np.vdot(d, d) / a.n))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"matrix shapes differ: {a.shape} vs {b.shape}")
+    d = a - b
+    return float(np.sqrt(np.vdot(d, d) / len(a)))
 
 
 def freedman_diaconis_histogram(values, bins: int | None = None):

@@ -111,9 +111,10 @@ def xi(v, nu: DiscreteMeasure):
     """-1/v + Σ w·d²/(1+v·d); rejects v at a pole (0 or any -1/d)."""
     locs, wts = _positive_atoms(nu)
     v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr == 0) or np.any(1.0 + np.multiply.outer(v_arr, locs) == 0):
+    den = 1.0 + np.multiply.outer(v_arr, locs)
+    if np.any(v_arr == 0) or np.any(den == 0):
         raise ValueError("xi evaluated at a pole")
-    vals = -1.0 / v_arr + ((wts * locs**2) / (1.0 + np.multiply.outer(v_arr, locs))).sum(axis=-1)
+    vals = -1.0 / v_arr + ((wts * locs**2) / den).sum(axis=-1)
     return float(vals) if np.isscalar(v) else vals
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from sparsespectra import (
     DegreeSequence,
-    DegreeSpec,
     DiscreteMeasure,
     OnePlusExponential,
     TwoAtomLaw,
@@ -67,7 +66,7 @@ def top_edge(nu):
 def sampled_eigenvalues(nu, n, seed):
     """Configuration-model draw at omega = ceil(sqrt(n)), spectrum of A-hat."""
     seq = build_degree_sequence(
-        DegreeSpec("atoms", measure=nu), n, math.ceil(math.sqrt(n))
+        nu, n, math.ceil(math.sqrt(n))
     )
     graph = sample_configuration(seq, seed=seed)
     return eigenvalues_symmetric(scaled_adjacency(graph, seq.omega))
@@ -239,7 +238,7 @@ def test_criterion_08_poissonized_coupling_distance():
     distances = {}
     for n in (500, 2000):
         seq = build_degree_sequence(
-            DegreeSpec("atoms", measure=TWO_ATOM_CONNECTED), n, math.ceil(math.sqrt(n))
+            TWO_ATOM_CONNECTED, n, math.ceil(math.sqrt(n))
         )
         pairs = []
         for s in range(5):
@@ -263,12 +262,12 @@ def test_criterion_09_sampler_degree_exactness():
     checked = 0
     for nu in (DELTA_ONE, TWO_ATOM_CONNECTED, THREE_ATOM):
         for n, seed in ((50, 0), (500, 1)):
-            seq = build_degree_sequence(DegreeSpec("atoms", measure=nu), n, 11)
+            seq = build_degree_sequence(nu, n, 11)
             graph = sample_configuration(seq, seed=seed)
             assert tuple(graph.degrees().tolist()) == seq.degrees
             checked += 1
     seq = build_degree_sequence(
-        DegreeSpec("iid", law=OnePlusExponential(1.0)), 200, 9, seed=3
+        OnePlusExponential(1.0), 200, 9, seed=3
     )
     graph = sample_configuration(seq, seed=4)
     assert tuple(graph.degrees().tolist()) == seq.degrees

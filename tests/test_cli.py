@@ -78,6 +78,17 @@ def test_spec_rejects_unknown_family():
         parse_measure_spec("zipf:s=2")
 
 
+def test_spec_two_atom_names_a_missing_parameter():
+    with pytest.raises(ValueError, match="beta"):
+        parse_measure_spec("two-atom:alpha=7")
+
+
+def test_two_atom_without_beta_returns_error_code(tmp_path, capsys):
+    rc = main(["support", "--measure", "two-atom:alpha=7", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "beta" in capsys.readouterr().err
+
+
 # -- sample ------------------------------------------------------------------
 
 
@@ -107,6 +118,25 @@ def test_sample_different_seeds_differ(tmp_path):
         main(["sample", "--measure", "one-plus-exponential:rate=1",
               "--n", "64", "--seed", seed, "--out", str(out)])
     assert (a / "sample_edges.txt").read_bytes() != (b / "sample_edges.txt").read_bytes()
+
+
+def test_sample_normalizes_a_continuous_law(tmp_path):
+    # 1 + Exp(1) has mean 2: unless the CLI rescales it to unit mean, the
+    # realized omega comes out near 2·sqrt(n)
+    rc = main(["sample", "--measure", "one-plus-exponential:rate=1", "--n", "2000",
+               "--seed", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    header = (tmp_path / "sample_edges.txt").read_text().splitlines()
+    omega = float(next(l for l in header if l.startswith("# omega_realized=")).partition("=")[2])
+    assert abs(omega - math.sqrt(2000)) < 0.1 * math.sqrt(2000)
+
+
+@pytest.mark.parametrize("omega", ["nan", "inf"])
+def test_sample_rejects_non_finite_omega(tmp_path, capsys, omega):
+    rc = main(["sample", "--measure", "delta:1", "--n", "50", "--seed", "1",
+               f"--omega={omega}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "omega_target" in capsys.readouterr().err
 
 
 def test_sample_poissonized_runs(tmp_path):
@@ -168,6 +198,22 @@ def test_density_rejects_groups_spec(tmp_path):
 def test_density_rejects_bad_eta(tmp_path, command, eta):
     extra = ["--n", "50", "--seed", "1"] if command == "compare" else []
     rc = main([command, "--measure", "delta:1", f"--eta={eta}", "--out", str(tmp_path), *extra])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "0"])
+def test_density_rejects_bad_tol(tmp_path, tol):
+    rc = main(["density", "--measure", "two-atom:alpha=3,beta=0.5", f"--tol={tol}",
+               "--grid", "3:21", "--out", str(tmp_path)])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("x_max", ["nan", "inf"])
+def test_density_rejects_non_finite_grid(tmp_path, x_max):
+    # _parse_grid's `x_max <= 0` lets NaN and inf through; symmetric_grid's
+    # check in the library is the one that rejects them
+    rc = main(["density", "--measure", "delta:1", "--grid", f"{x_max}:11",
+               "--out", str(tmp_path)])
     assert rc == 2
 
 

@@ -8,7 +8,6 @@ import pytest
 from sparsespectra import (
     DegreeGroup,
     DegreeSequence,
-    DegreeSpec,
     DiscreteMeasure,
     OnePlusExponential,
     build_degree_sequence,
@@ -22,20 +21,20 @@ def delta(c=1.0):
 
 
 def test_regular_case_even_sum():
-    seq = build_degree_sequence(DegreeSpec.atoms(delta()), n=4, omega_target=3.0)
+    seq = build_degree_sequence(delta(), n=4, omega_target=3.0)
     assert seq.degrees == (3, 3, 3, 3)
     assert seq.omega == 3.0
 
 
 def test_odd_sum_fix_increments_last_vertex():
-    seq = build_degree_sequence(DegreeSpec.atoms(delta()), n=3, omega_target=3.0)
+    seq = build_degree_sequence(delta(), n=3, omega_target=3.0)
     assert seq.degrees == (3, 3, 4)
     assert math.isclose(seq.omega, 10.0 / 3.0, rel_tol=1e-15)
 
 
 def test_floor_not_round():
     # omega_target 2.9 on unit weights floors to 2, never rounds to 3
-    seq = build_degree_sequence(DegreeSpec.atoms(delta()), n=4, omega_target=2.9)
+    seq = build_degree_sequence(delta(), n=4, omega_target=2.9)
     assert seq.degrees == (2, 2, 2, 2)
 
 
@@ -45,7 +44,7 @@ def test_sum_always_even_and_omega_exact():
         n = int(rng.integers(2, 40))
         target = float(rng.uniform(1.0, 12.0))
         seq = build_degree_sequence(
-            DegreeSpec.iid(OnePlusExponential(rate=1.0)), n, target, seed=k
+            OnePlusExponential(rate=1.0).normalized(), n, target, seed=k
         )
         total = sum(seq.degrees)
         assert total % 2 == 0
@@ -54,19 +53,26 @@ def test_sum_always_even_and_omega_exact():
 
 def test_all_zero_rejected():
     with pytest.raises(ValueError):
-        build_degree_sequence(DegreeSpec.atoms(delta(0.2)), n=4, omega_target=1.0)
+        build_degree_sequence(delta(0.2), n=4, omega_target=1.0)
 
 
 def test_precondition_checks():
     with pytest.raises(ValueError):
-        build_degree_sequence(DegreeSpec.atoms(delta()), n=1, omega_target=3.0)
+        build_degree_sequence(delta(), n=1, omega_target=3.0)
     with pytest.raises(ValueError):
-        build_degree_sequence(DegreeSpec.atoms(delta()), n=4, omega_target=0.5)
+        build_degree_sequence(delta(), n=4, omega_target=0.5)
 
 
-def test_iid_spec_normalizes_law_to_unit_mean():
-    spec = DegreeSpec.iid(OnePlusExponential(rate=1.0))
-    assert math.isclose(spec.law.mean(), 1.0, rel_tol=1e-12)
+@pytest.mark.parametrize("omega_target", [math.nan, math.inf])
+def test_non_finite_omega_target_rejected_by_name(omega_target):
+    with pytest.raises(ValueError, match="omega_target"):
+        build_degree_sequence(delta(), n=4, omega_target=omega_target)
+
+
+def test_negative_atoms_rejected():
+    law = DiscreteMeasure((-1.0, 3.0), (0.5, 0.5))
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_degree_sequence(law, n=4, omega_target=2.0)
 
 
 def test_realized_omega_near_target_for_iid_law():
@@ -75,7 +81,7 @@ def test_realized_omega_near_target_for_iid_law():
     trials = 200
     for seed in range(trials):
         seq = build_degree_sequence(
-            DegreeSpec.iid(OnePlusExponential(rate=1.0)), 1000,
+            OnePlusExponential(rate=1.0).normalized(), 1000,
             math.sqrt(1000), seed=seed,
         )
         if abs(seq.omega - math.sqrt(1000)) / math.sqrt(1000) < 0.10:
@@ -109,7 +115,7 @@ def test_three_atom_quantization_of_figure_spec():
     atoms = DiscreteMeasure(
         tuple(np.array([1.0, 3.0, 15.0]) / 2.12), (0.5, 0.49, 0.01)
     )
-    seq = build_degree_sequence(DegreeSpec.atoms(atoms), n=1000, omega_target=31.0)
+    seq = build_degree_sequence(atoms, n=1000, omega_target=31.0)
     m = degree_esd(seq)
     assert len(m) == 3
     # counts 500/490/10; locations shift by the floor loss (~1/omega each)
@@ -119,7 +125,7 @@ def test_three_atom_quantization_of_figure_spec():
 
 
 def test_sequence_round_trip(tmp_path):
-    seq = build_degree_sequence(DegreeSpec.atoms(delta()), n=5, omega_target=4.0)
+    seq = build_degree_sequence(delta(), n=5, omega_target=4.0)
     path = tmp_path / "degrees.txt"
     seq.save(path)
     again = DegreeSequence.load(path)

@@ -9,12 +9,10 @@ import pytest
 from sparsespectra import (
     DegreeSequence,
     Multigraph,
-    SymmetricMatrix,
     extend_configuration,
     sample_configuration,
     sample_poissonized,
     scaled_adjacency,
-    single_adjacency,
 )
 
 from oracles import graph_key, matching_distribution, total_variation
@@ -256,7 +254,7 @@ def test_single_adjacency_clamps_including_diagonal():
                    np.array([0]), np.array([2]))
     a = g.adjacency()
     assert a[0, 1] == 3 and a[0, 0] == 4
-    s = single_adjacency(g).data
+    s = g.adjacency(single=True)
     assert s[0, 1] == 1.0 and s[0, 0] == 1.0 and s[1, 1] == 0.0
 
 
@@ -269,7 +267,7 @@ def test_scaled_adjacency_single_edge():
     g = Multigraph(2, np.array([0]), np.array([1]), np.array([1]),
                    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     m = scaled_adjacency(g, omega=4.0)
-    assert m.data[0, 1] == 0.5
+    assert m[0, 1] == 0.5
 
 
 def test_scaled_adjacency_rejects_bad_omega():
@@ -284,7 +282,7 @@ def test_trace_identity_exact_on_simple_loopless_graph():
                    np.array([1, 1, 1]), np.empty(0, dtype=np.int64),
                    np.empty(0, dtype=np.int64))
     seq = g.degree_sequence()
-    ahat = scaled_adjacency(g, seq.omega).data
+    ahat = scaled_adjacency(g, seq.omega)
     assert math.isclose(np.trace(ahat @ ahat) / g.n, 1.0, rel_tol=1e-12)
 
 
@@ -293,7 +291,7 @@ def test_trace_identity_near_one_for_sampled_multigraph():
     n = 2000
     seq = DegreeSequence.from_degrees([45] * n)
     g = sample_configuration(seq, seed=8)
-    ahat = scaled_adjacency(g, seq.omega).data
+    ahat = scaled_adjacency(g, seq.omega)
     val = float(np.einsum("ij,ji->", ahat, ahat)) / n
     assert 1.0 <= val < 1.05
 
@@ -337,21 +335,6 @@ def test_edge_list_blocks_match_a_per_row_reference(tmp_path):
     assert again.n == n
     for name in ("edges_i", "edges_j", "mult", "loop_vertex", "loop_count"):
         assert np.array_equal(getattr(again, name), getattr(g, name))
-
-
-def test_symmetric_matrix_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    raw = rng.normal(size=(5, 5))
-    m = SymmetricMatrix(0.5 * (raw + raw.T))
-    path = tmp_path / "matrix.bin"
-    m.save(path)
-    again = SymmetricMatrix.load(path)
-    assert np.array_equal(again.data, m.data)
-
-
-def test_symmetric_matrix_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        SymmetricMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 def test_seed_repetition_is_byte_identical(tmp_path):

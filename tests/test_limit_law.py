@@ -190,6 +190,23 @@ def test_densities_reject_bad_eta(eta):
         density_mp(0.5, DELTA_ONE, eta=eta)
 
 
+TOL_ENTRY_POINTS = {
+    "solve_g": lambda tol: solve_g(1j, DELTA_ONE, tol=tol),
+    "solve_real_line": lambda tol: solve_real_line(DELTA_ONE, [1.0], tol=tol),
+    "density_mp": lambda tol: density_mp(0.5, DELTA_ONE, tol=tol),
+    "density_mu": lambda tol: density_mu(0.5, DELTA_ONE, tol=tol),
+    "density_curve": lambda tol: density_curve(DELTA_ONE, x_max=2.0, points=21, tol=tol),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_entry_points_reject_bad_tol(entry, tol):
+    # tol=nan stopped at once with garbage and tol=0 iterated to max_iter
+    with pytest.raises(ValueError, match="tol"):
+        TOL_ENTRY_POINTS[entry](tol)
+
+
 # -- densities ------------------------------------------------------------------
 
 
@@ -239,6 +256,12 @@ def test_symmetric_grid_odd_and_even():
         symmetric_grid(2.0, 1)
     with pytest.raises(ValueError):
         symmetric_grid(0.0, 4)
+
+
+@pytest.mark.parametrize("x_max", [math.nan, math.inf, -math.inf])
+def test_symmetric_grid_rejects_non_finite_x_max(x_max):
+    with pytest.raises(ValueError, match="x_max"):
+        symmetric_grid(x_max, 11)
 
 
 def test_curve_is_exactly_symmetric_with_unit_mass():
