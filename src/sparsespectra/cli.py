@@ -42,7 +42,7 @@ from .limit_law import (
 )
 from .measures import DiscreteMeasure, kolmogorov_distance, kolmogorov_vs_cdf, wasserstein1
 from .spectrum import eigenvalues_symmetric, trace_distance_bound, write_histogram_csv, write_spectrum_csv
-from .support import TwoAtomLaw, phase_diagram, support_mp, xi, xi_prime
+from .support import TwoAtomLaw, _xi_and_slope, phase_diagram, support_mp
 from .tables import write_table
 
 __all__ = ["main"]
@@ -81,6 +81,9 @@ def parse_measure_spec(text: str):
         return DiscreteMeasure.from_pairs(pairs)
     if head == "two-atom":
         kw = dict(item.split("=") for item in tail.split(","))
+        unknown = sorted(set(kw) - {"alpha", "beta"})
+        if unknown:
+            raise ValueError(f"unknown parameters {unknown} for two-atom")
         missing = [key for key in ("alpha", "beta") if key not in kw]
         if missing:
             raise ValueError(f"two-atom spec lacks {' and '.join(missing)}")
@@ -249,11 +252,7 @@ def _cmd_density(run: _Run) -> int:
     eta = run.get("eta", float, default=1e-6)
     tol = run.get("tol", float, default=1e-10)
     out = _out_dir(run)
-    try:
-        curve = density_curve(nu, x_max, points, eta=eta, tol=tol)
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 1
+    curve = density_curve(nu, x_max, points, eta=eta, tol=tol)
     meta = run.echo(mass=f"{curve.mass:.17g}", nu_atoms=len(nu))
     curve.to_csv(os.path.join(out, "density.csv"), metadata=meta)
     print(f"density: {points} points, mass={curve.mass:.6f} -> {out}/density.csv")
@@ -299,8 +298,9 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
     vs = lo[:, None] + (hi - lo)[:, None] * np.linspace(1e-4, 1.0 - 1e-4, points_per_gap)
     step = max(1, _XI_TRACE_CELLS // (points_per_gap * len(poles)))
     blocks = [vs[k:k + step] for k in range(0, len(vs), step)]
-    xis = np.concatenate([xi(block, nu) for block in blocks])
-    slopes = np.concatenate([xi_prime(block, nu) for block in blocks])
+    pairs = [_xi_and_slope(block, nu) for block in blocks]
+    xis = np.concatenate([vals for vals, _ in pairs])
+    slopes = np.concatenate([slopes for _, slopes in pairs])
     gaps = np.repeat(np.arange(len(vs)), points_per_gap)
     write_table(path, ("gap", "v", "xi", "xi_prime"), gaps, vs.ravel(), xis.ravel(),
                 slopes.ravel(), metadata=metadata)
@@ -337,11 +337,7 @@ def _cmd_compare(run: _Run) -> int:
     spec = _read_measure(run)
     nu = _limit_weight_law(spec, run.get("quantize", int, default=2048))
     seq, graph, eigs = _sampled_eigenvalues(run, spec, n, seed)
-    try:
-        curve = _auto_curve(nu, run, eigs)
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 1
+    curve = _auto_curve(nu, run, eigs)
     dist = kolmogorov_vs_cdf(eigs, lambda x: curve.cdf(x) / curve.mass)
     out = _out_dir(run)
     meta = run.echo(

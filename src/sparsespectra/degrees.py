@@ -156,6 +156,10 @@ class DegreeGroup:
     law: ContinuousLaw
     scale: str | float
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.scale, str) and not 0 < self.scale < math.inf:
+            raise ValueError(f"group scale must be positive and finite (got {self.scale!r})")
+
     def resolve_count(self, n: int) -> int | None:
         if self.count == "rest":
             return None

@@ -107,26 +107,28 @@ def _positive_atoms(nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     return locs[keep], wts[keep]
 
 
-def xi(v, nu: DiscreteMeasure):
-    """-1/v + Σ w·d²/(1+v·d); rejects v at a pole (0 or any -1/d)."""
+def _xi_and_slope(v, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """xi(v) and xi'(v) from one sweep den = 1 + v⊗d; rejects v at a pole."""
     locs, wts = _positive_atoms(nu)
     v_arr = np.asarray(v, dtype=float)
     den = 1.0 + np.multiply.outer(v_arr, locs)
     if np.any(v_arr == 0) or np.any(den == 0):
         raise ValueError("xi evaluated at a pole")
     vals = -1.0 / v_arr + ((wts * locs**2) / den).sum(axis=-1)
+    slopes = 1.0 / v_arr**2 - ((wts * locs**3) / den**2).sum(axis=-1)
+    return vals, slopes
+
+
+def xi(v, nu: DiscreteMeasure):
+    """-1/v + Σ w·d²/(1+v·d); rejects v at a pole (0 or any -1/d)."""
+    vals, _ = _xi_and_slope(v, nu)
     return float(vals) if np.isscalar(v) else vals
 
 
 def xi_prime(v, nu: DiscreteMeasure):
     """Derivative of xi: 1/v² − Σ w·d³/(1+v·d)²."""
-    locs, wts = _positive_atoms(nu)
-    v_arr = np.asarray(v, dtype=float)
-    den = 1.0 + np.multiply.outer(v_arr, locs)
-    if np.any(v_arr == 0) or np.any(den == 0):
-        raise ValueError("xi_prime evaluated at a pole")
-    vals = 1.0 / v_arr**2 - ((wts * locs**3) / den**2).sum(axis=-1)
-    return float(vals) if np.isscalar(v) else vals
+    _, slopes = _xi_and_slope(v, nu)
+    return float(slopes) if np.isscalar(v) else slopes
 
 
 def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

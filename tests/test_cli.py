@@ -2,11 +2,13 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from sparsespectra import (
+    ConvergenceError,
     DiscreteMeasure,
     OnePlusExponential,
     parse_family,
@@ -89,6 +91,13 @@ def test_two_atom_without_beta_returns_error_code(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+def test_two_atom_with_an_unknown_key_returns_error_code(tmp_path, capsys):
+    rc = main(["support", "--measure", "two-atom:alpha=7,beta=0.5,gamma=1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "unknown parameters ['gamma'] for two-atom" in capsys.readouterr().err
+
+
 # -- sample ------------------------------------------------------------------
 
 
@@ -137,6 +146,17 @@ def test_sample_rejects_non_finite_omega(tmp_path, capsys, omega):
                f"--omega={omega}", "--out", str(tmp_path)])
     assert rc == 2
     assert "omega_target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-3"])
+def test_sample_rejects_bad_group_scale(tmp_path, capsys, scale):
+    spec = f"groups:sqrt@one-plus-exponential(rate=1)@{scale};rest@uniform(low=0,high=2)@log"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["sample", "--measure", spec, "--n", "100", "--seed", "1",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"group scale must be positive and finite (got {float(scale)!r})" in capsys.readouterr().err
 
 
 def test_sample_poissonized_runs(tmp_path):
@@ -329,6 +349,18 @@ def test_compare_small_regular_graph(tmp_path):
     assert float(meta["kolmogorov"]) < 0.2
     meta2, _ = read_rows(tmp_path / "compare_density.csv", "x,rho")
     assert meta2["kolmogorov"] == meta["kolmogorov"]
+
+
+@pytest.mark.parametrize("command", ["density", "compare"])
+def test_solver_failure_exits_with_code_one(tmp_path, capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("1 of 1 points failed (worst residual 1.000e+00 at x=0.5, eta=1e-06)")
+
+    monkeypatch.setattr(cli, "density_curve", fail)
+    extra = ["--n", "50", "--seed", "1", "--grid", "3:21"] if command == "compare" else []
+    rc = main([command, "--measure", "delta:1", "--out", str(tmp_path), *extra])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("solver failure: 1 of 1 points failed")
 
 
 # -- couple ----------------------------------------------------------------------------

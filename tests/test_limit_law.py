@@ -19,8 +19,10 @@ from sparsespectra import (
     solve_g,
     solve_real_line,
     stieltjes_mu,
+    support_mp,
     symmetric_grid,
 )
+from sparsespectra import limit_law
 
 from oracles import cauchy_transform_quadrature, semicircle_g, solve_h_reference
 
@@ -107,6 +109,69 @@ def test_point_solve_is_a_lane_of_the_real_line_solve():
         for x, eta in ((0.3, 1e-6), (-1.7, 0.01), (2.2, 0.5), (0.0, 1e-4)):
             _, g, _, _, _ = solve_real_line(nu, [x], eta)
             assert solve_g(complex(x, eta), nu).g == complex(g[0])
+
+
+# -- the continuation's schedule and sweep -------------------------------------------
+
+BOUND_SUITE_ATOMIC = {
+    "point mass": DELTA_ONE,
+    "two-atom split": TwoAtomLaw(alpha=7.0, beta=0.5).measure(),
+    "two-atom connected": TwoAtomLaw(alpha=3.0, beta=0.5).measure(),
+    "three-atom": DiscreteMeasure.from_pairs(
+        [(1.0 / 2.12, 0.5), (3.0 / 2.12, 0.49), (15.0 / 2.12, 0.01)]
+    ),
+}
+
+
+def top_edge(nu):
+    return math.sqrt(support_mp(nu).intervals[-1][1])
+
+
+def halving_schedule(eta_final):
+    """The factor-1/2 continuation schedule, as the reference for the 1/8 one."""
+    etas = []
+    e = 1.0
+    while e > eta_final:
+        etas.append(e)
+        e *= 0.5
+    etas.append(eta_final)
+    return etas
+
+
+def test_eighth_step_schedule_matches_halving(monkeypatch):
+    laws = {**BOUND_SUITE_ATOMIC,
+            "quantized 1+Exp": quantize_measure(OnePlusExponential(1.0).normalized(), 256)}
+    for name, nu in laws.items():
+        x_max = top_edge(nu) + 0.25
+        for eta in (1e-6, 1e-4):
+            assert limit_law._eta_schedule(eta)[-1] == eta
+            eighth = density_curve(nu, x_max=x_max, points=401, eta=eta)
+            with monkeypatch.context() as m:
+                m.setattr(limit_law, "_eta_schedule", halving_schedule)
+                halving = density_curve(nu, x_max=x_max, points=401, eta=eta)
+            assert eighth.iterations < halving.iterations, name
+            assert np.max(np.abs(eighth.rho - halving.rho)) < 1e-9, (name, eta)
+
+
+def test_curve_iteration_ceilings():
+    exp = quantize_measure(OnePlusExponential(1.0).normalized(), 2048)
+    assert density_curve(exp, x_max=3.5, points=201).iterations <= 40
+    split = BOUND_SUITE_ATOMIC["two-atom split"]
+    assert density_curve(split, x_max=top_edge(split) + 0.25, points=2401).iterations <= 40
+
+
+def test_slope_matches_central_difference_of_residual():
+    locs, wts = THREE_ATOM.as_arrays()
+    z = np.array([0.3 + 1e-3j, -1.2 + 0.1j, 2.5 + 1.0j, 0.01 + 1e-6j])
+    g = np.array([0.2 + 0.9j, -0.5 + 0.3j, 1.0 + 0.05j, 0.1 + 2.0j])
+
+    def sweep(at):
+        return limit_law._residual_and_slope(z, at, locs, wts * locs, wts * locs**2)
+
+    step = 1e-6
+    fd = (sweep(g + step)[0] - sweep(g - step)[0]) / (2 * step)
+    slope = sweep(g)[1]
+    assert np.all(np.abs(fd - slope) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
 
 
 # -- transform of the symmetric law ---------------------------------------------
