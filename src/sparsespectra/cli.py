@@ -14,12 +14,15 @@ Measure specs accepted by --measure:
     groups:sqrt@one-plus-exponential(rate=1)@sqrt;rest@uniform(low=0,high=2)@log
     path/to/file                              'location weight' lines
 
-Continuous families are rescaled to unit mean once, then sampled i.i.d. on
-the graph side and quantized on the limit-law side. The groups form feeds the
-mixed-regime degree builder and is only meaningful for sampling commands.
+Every law but a groups spec is rescaled to unit mean once; a continuous
+law is then sampled i.i.d. on the graph side and quantized on the limit-law
+side. The groups form feeds the mixed-regime degree builder and is only
+meaningful for sampling commands.
 
-A config file (--config, key=value lines, '#' comments) may supply any
-flag by its long name; explicit flags win.
+Each command takes only the flags it reads (see `sparsespectra COMMAND -h`,
+which prints every default). A config file (--config, key=value lines, '#'
+comments) may supply any of them by its long name; explicit flags win.
+Output headers echo every effective setting, defaults included.
 """
 
 from __future__ import annotations
@@ -32,22 +35,15 @@ import sys
 import numpy as np
 
 from .degrees import DegreeGroup, _resolve_scale, build_degree_sequence, build_grouped_degrees
-from .families import ContinuousLaw, parse_family
+from .families import parse_family
 from .graphs import sample_configuration, sample_poissonized, scaled_adjacency
-from .limit_law import (
-    ConvergenceError,
-    DensityCurve,
-    density_curve,
-    quantize_measure,
-)
+from .limit_law import DEFAULT_ETA, DEFAULT_TOL, ConvergenceError, density_curve, quantize_measure
 from .measures import DiscreteMeasure, kolmogorov_distance, kolmogorov_vs_cdf, wasserstein1
 from .spectrum import eigenvalues_symmetric, trace_distance_bound, write_histogram_csv, write_spectrum_csv
 from .support import TwoAtomLaw, _xi_and_slope, phase_diagram, support_mp
 from .tables import write_table
 
 __all__ = ["main"]
-
-_MISSING = object()
 
 
 # -- spec parsing -----------------------------------------------------------
@@ -107,10 +103,10 @@ def parse_measure_spec(text: str):
     return parse_family(f"{head}({tail})")
 
 
-def _read_measure(run: _Run):
-    """The --measure spec, a continuous law rescaled to unit mean."""
-    spec = parse_measure_spec(run.get("measure"))
-    return spec.normalized() if isinstance(spec, ContinuousLaw) else spec
+def _read_measure(args: argparse.Namespace):
+    """The --measure spec; every law but a groups spec is rescaled to unit mean."""
+    spec = parse_measure_spec(args.measure)
+    return spec if isinstance(spec, list) else spec.normalized()
 
 
 def _limit_weight_law(spec, quantize_m: int) -> DiscreteMeasure:
@@ -120,20 +116,20 @@ def _limit_weight_law(spec, quantize_m: int) -> DiscreteMeasure:
     return quantize_measure(spec, quantize_m)
 
 
-def _build_sequence(run: _Run, spec, n: int, seed: int):
+def _sampled_graph(args: argparse.Namespace, spec):
+    """Degree sequence from the sampling flags and one multigraph on it."""
     if isinstance(spec, list):
-        return build_grouped_degrees(spec, n, seed=seed)
-    omega_target = _resolve_scale(run.get("omega", default="sqrt"), n)
-    return build_degree_sequence(spec, n, omega_target, seed=seed)
+        seq = build_grouped_degrees(spec, args.n, seed=args.seed)
+    else:
+        seq = build_degree_sequence(spec, args.n, _resolve_scale(args.omega, args.n), seed=args.seed)
+    sampler = sample_poissonized if getattr(args, "poissonized", False) else sample_configuration
+    return seq, sampler(seq, seed=args.seed + 1)
 
 
 def _parse_grid(text: str) -> tuple[float, int]:
+    """X_MAX[:POINTS] as (x_max, points); symmetric_grid checks the values."""
     x_max_s, _, points_s = text.partition(":")
-    x_max = float(x_max_s)
-    points = int(points_s) if points_s else 601
-    if x_max <= 0 or points < 2:
-        raise ValueError(f"bad grid spec {text!r}")
-    return x_max, points
+    return float(x_max_s), int(points_s) if points_s else 601
 
 
 def _parse_linspace(text: str) -> np.ndarray:
@@ -156,117 +152,72 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-class _Run:
-    """Flag/config merger: explicit flags beat config values beat defaults."""
+def _echo(args: argparse.Namespace, **extra) -> dict:
+    """Header metadata: every effective setting, then `extra`.
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.config = _read_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, cast=str, default=_MISSING):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            raw = self.config[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        if default is _MISSING:
-            raise SystemExit(f"missing required parameter --{key.replace('_', '-')}")
-        return default
-
-    def flag(self, key: str) -> bool:
-        if getattr(self.args, key, False):
-            return True
-        return bool(self.get(key, cast=bool, default=False))
-
-    def echo(self, **extra) -> dict:
-        """Metadata dictionary echoing the effective configuration."""
-        meta = dict(extra)
-        meta["command"] = self.args.command
-        # config/out are bookkeeping, not part of what was computed; echoing
-        # them would make reruns in another directory byte-different
-        skip = ("command", "func", "config", "out")
-        for key, value in sorted(vars(self.args).items()):
-            if key in skip or value is None:
-                continue
-            meta.setdefault(key, value)
-        for key, value in self.config.items():
-            if key not in skip:
-                meta.setdefault(key, value)
-        return meta
+    The config path and output directory are bookkeeping, not part of what
+    was computed; echoing them would make reruns in another directory
+    byte-different.
+    """
+    meta = {key: value for key, value in vars(args).items()
+            if key not in ("func", "config", "out") and value is not None}
+    return {**meta, **extra}
 
 
-def _out_dir(run: _Run) -> str:
-    out = run.get("out", default=".")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(args: argparse.Namespace) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 # -- commands ---------------------------------------------------------------
 
 
-def _cmd_sample(run: _Run) -> int:
-    n = run.get("n", int)
-    seed = run.get("seed", int)
-    seq = _build_sequence(run, _read_measure(run), n, seed)
-    sampler = sample_poissonized if run.flag("poissonized") else sample_configuration
-    graph = sampler(seq, seed=seed + 1)
-    out = _out_dir(run)
-    meta = run.echo(omega_realized=f"{seq.omega:.17g}", edge_total=graph.edge_total)
+def _cmd_sample(args: argparse.Namespace) -> int:
+    seq, graph = _sampled_graph(args, _read_measure(args))
+    out = _out_dir(args)
+    meta = _echo(args, omega_realized=f"{seq.omega:.17g}", edge_total=graph.edge_total)
     graph.save_edges(os.path.join(out, "sample_edges.txt"), metadata=meta)
     seq.save(os.path.join(out, "sample_degrees.txt"))
     print(
-        f"sampled n={n} edges={graph.edge_total} "
+        f"sampled n={args.n} edges={graph.edge_total} "
         f"omega={seq.omega:.6g} -> {out}/sample_edges.txt"
     )
     return 0
 
 
-def _sampled_eigenvalues(run: _Run, spec, n: int, seed: int):
-    seq = _build_sequence(run, spec, n, seed)
-    sampler = sample_poissonized if run.flag("poissonized") else sample_configuration
-    graph = sampler(seq, seed=seed + 1)
-    adj = scaled_adjacency(graph, seq.omega, single=run.flag("single_adjacency"))
+def _sampled_eigenvalues(args: argparse.Namespace, spec):
+    seq, graph = _sampled_graph(args, spec)
+    adj = scaled_adjacency(graph, seq.omega, single=args.single_adjacency)
     return seq, graph, eigenvalues_symmetric(adj)
 
 
-def _cmd_esd(run: _Run) -> int:
-    n = run.get("n", int)
-    seed = run.get("seed", int)
-    spec = _read_measure(run)
-    seq, graph, eigs = _sampled_eigenvalues(run, spec, n, seed)
-    out = _out_dir(run)
-    meta = run.echo(omega_realized=f"{seq.omega:.17g}", edge_total=graph.edge_total)
+def _cmd_esd(args: argparse.Namespace) -> int:
+    seq, graph, eigs = _sampled_eigenvalues(args, _read_measure(args))
+    out = _out_dir(args)
+    meta = _echo(args, omega_realized=f"{seq.omega:.17g}", edge_total=graph.edge_total)
     write_spectrum_csv(os.path.join(out, "spectrum.csv"), eigs, metadata=meta)
     write_histogram_csv(os.path.join(out, "histogram.csv"), eigs, metadata=meta)
     print(f"eigenvalues: {len(eigs)}  range [{eigs.min():.6g}, {eigs.max():.6g}] -> {out}")
     return 0
 
 
-def _cmd_density(run: _Run) -> int:
-    spec = _read_measure(run)
-    nu = _limit_weight_law(spec, run.get("quantize", int, default=2048))
-    x_max, points = _parse_grid(run.get("grid", default="3.0:601"))
-    eta = run.get("eta", float, default=1e-6)
-    tol = run.get("tol", float, default=1e-10)
-    out = _out_dir(run)
-    curve = density_curve(nu, x_max, points, eta=eta, tol=tol)
-    meta = run.echo(mass=f"{curve.mass:.17g}", nu_atoms=len(nu))
+def _cmd_density(args: argparse.Namespace) -> int:
+    nu = _limit_weight_law(_read_measure(args), args.quantize)
+    x_max, points = _parse_grid(args.grid)
+    out = _out_dir(args)
+    curve = density_curve(nu, x_max, points, eta=args.eta, tol=args.tol)
+    meta = _echo(args, mass=f"{curve.mass:.17g}", nu_atoms=len(nu))
     curve.to_csv(os.path.join(out, "density.csv"), metadata=meta)
     print(f"density: {points} points, mass={curve.mass:.6f} -> {out}/density.csv")
     return 0
 
 
-def _cmd_support(run: _Run) -> int:
-    spec = _read_measure(run)
-    nu = _limit_weight_law(spec, run.get("quantize", int, default=2048))
-    min_gap = run.get("min_gap", float, default=1e-3)
-    out = _out_dir(run)
-    mp = support_mp(nu, min_gap=min_gap)
+def _cmd_support(args: argparse.Namespace) -> int:
+    nu = _limit_weight_law(_read_measure(args), args.quantize)
+    out = _out_dir(args)
+    mp = support_mp(nu, min_gap=args.min_gap)
     mu = mp.symmetric_image()
-    meta = run.echo(nu_atoms=len(nu))
+    meta = _echo(args, nu_atoms=len(nu))
     mp.to_csv(os.path.join(out, "support_square_law.csv"), metadata=meta)
     mu.to_csv(os.path.join(out, "support_symmetric.csv"), metadata=meta)
     _write_xi_trace(os.path.join(out, "xi_trace.csv"), nu, meta)
@@ -306,41 +257,32 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
                 slopes.ravel(), metadata=metadata)
 
 
-def _cmd_phase_diagram(run: _Run) -> int:
-    alphas = _parse_linspace(run.get("alpha_range", default="1.05:20:200"))
-    betas = _parse_linspace(run.get("beta_range", default="0.05:0.95:200"))
+def _cmd_phase_diagram(args: argparse.Namespace) -> int:
+    alphas = _parse_linspace(args.alpha_range)
+    betas = _parse_linspace(args.beta_range)
     hole, disc = phase_diagram(alphas, betas)
-    out = _out_dir(run)
+    out = _out_dir(args)
     path = os.path.join(out, "phase_diagram.csv")
     write_table(path, ("alpha", "beta", "has_hole", "discriminant"),
                 np.repeat(alphas, len(betas)), np.tile(betas, len(alphas)), hole.ravel(),
-                disc.ravel(), metadata=run.echo())
+                disc.ravel(), metadata=_echo(args))
     print(f"phase diagram {len(alphas)}x{len(betas)} -> {path}")
     return 0
 
 
-def _auto_curve(nu: DiscreteMeasure, run: _Run, eigs: np.ndarray) -> DensityCurve:
-    grid_text = run.get("grid", default=None)
-    if grid_text is None:
+def _cmd_compare(args: argparse.Namespace) -> int:
+    spec = _read_measure(args)
+    nu = _limit_weight_law(spec, args.quantize)
+    seq, graph, eigs = _sampled_eigenvalues(args, spec)
+    if args.grid is None:
         top = max(float(np.abs(eigs).max()), math.sqrt(support_mp(nu).intervals[-1][1]))
         x_max, points = 1.05 * top + 0.25, 800
     else:
-        x_max, points = _parse_grid(grid_text)
-    eta = run.get("eta", float, default=1e-6)
-    tol = run.get("tol", float, default=1e-10)
-    return density_curve(nu, x_max, points, eta=eta, tol=tol)
-
-
-def _cmd_compare(run: _Run) -> int:
-    n = run.get("n", int)
-    seed = run.get("seed", int)
-    spec = _read_measure(run)
-    nu = _limit_weight_law(spec, run.get("quantize", int, default=2048))
-    seq, graph, eigs = _sampled_eigenvalues(run, spec, n, seed)
-    curve = _auto_curve(nu, run, eigs)
+        x_max, points = _parse_grid(args.grid)
+    curve = density_curve(nu, x_max, points, eta=args.eta, tol=args.tol)
     dist = kolmogorov_vs_cdf(eigs, lambda x: curve.cdf(x) / curve.mass)
-    out = _out_dir(run)
-    meta = run.echo(
+    out = _out_dir(args)
+    meta = _echo(args,
         omega_realized=f"{seq.omega:.17g}",
         edge_total=graph.edge_total,
         kolmogorov=f"{dist:.17g}",
@@ -352,15 +294,12 @@ def _cmd_compare(run: _Run) -> int:
     return 0
 
 
-def _cmd_couple(run: _Run) -> int:
-    n = run.get("n", int)
-    seed = run.get("seed", int)
-    seq = _build_sequence(run, _read_measure(run), n, seed)
-    g_conf = sample_configuration(seq, seed=seed + 1)
-    g_pois = sample_poissonized(seq, seed=seed + 2)
-    single = run.flag("single_adjacency")
-    a = scaled_adjacency(g_conf, seq.omega, single=single)
-    b = scaled_adjacency(g_pois, seq.omega, single=single)
+def _cmd_couple(args: argparse.Namespace) -> int:
+    # couple takes no --poissonized, so this is the configuration sample
+    seq, g_conf = _sampled_graph(args, _read_measure(args))
+    g_pois = sample_poissonized(seq, seed=args.seed + 2)
+    a = scaled_adjacency(g_conf, seq.omega, single=args.single_adjacency)
+    b = scaled_adjacency(g_pois, seq.omega, single=args.single_adjacency)
     eig_a = eigenvalues_symmetric(a)
     eig_b = eigenvalues_symmetric(b)
     esd_a = DiscreteMeasure.from_samples(eig_a)
@@ -368,8 +307,8 @@ def _cmd_couple(run: _Run) -> int:
     ks = kolmogorov_distance(esd_a, esd_b)
     w1 = wasserstein1(esd_a, esd_b)
     hw = trace_distance_bound(a, b)
-    out = _out_dir(run)
-    meta = run.echo(omega_realized=f"{seq.omega:.17g}")
+    out = _out_dir(args)
+    meta = _echo(args, omega_realized=f"{seq.omega:.17g}")
     write_spectrum_csv(os.path.join(out, "couple_configuration.csv"), eig_a, metadata=meta)
     write_spectrum_csv(os.path.join(out, "couple_poissonized.csv"), eig_b, metadata=meta)
     write_table(os.path.join(out, "couple_summary.csv"), ("metric", "value"),
@@ -381,28 +320,46 @@ def _cmd_couple(run: _Run) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+# flags that more than one command takes, each declared once
+_FLAGS = {
+    "--measure": dict(required=True, help="weight-law spec (see --help of the program)"),
+    "--n": dict(type=int, required=True, help="number of vertices"),
+    "--omega": dict(default="sqrt",
+                    help="mean-degree rule: a number, 'sqrt' or 'log' (default %(default)s)"),
+    "--seed": dict(type=int, required=True, help="RNG seed"),
+    "--poissonized": dict(action="store_true",
+                          help="Poisson edge counts instead of a configuration matching"),
+    "--single-adjacency": dict(action="store_true",
+                               help="clamp every adjacency entry (diagonal too) to 1"),
+    "--eta": dict(type=float, default=DEFAULT_ETA, help="final spectral offset (default %(default)s)"),
+    "--tol": dict(type=float, default=DEFAULT_TOL,
+                  help="fixed-point residual tolerance (default %(default)s)"),
+    "--quantize": dict(type=int, default=2048,
+                       help="atoms used to quantize a continuous law (default %(default)s)"),
+}
+_SAMPLING = ("--measure", "--n", "--omega", "--seed")
+_LIMIT = ("--eta", "--tol", "--quantize")
+_GRID_HELP = "density grid as X_MAX[:POINTS]"
+_TRUE = ("1", "true", "yes", "on")
 
-def _add_common(sub: argparse.ArgumentParser, *, sampling: bool, limit: bool) -> None:
-    sub.add_argument("--measure", help="weight-law spec (see --help of the program)")
-    sub.add_argument("--config", help="key=value file supplying any flag; flags win")
-    sub.add_argument("--out", help="output directory (default '.')")
-    if sampling:
-        sub.add_argument("--n", type=int, help="number of vertices")
-        sub.add_argument("--omega", help="mean-degree rule: a number, 'sqrt', or 'log' (default sqrt)")
-        sub.add_argument("--seed", type=int, help="RNG seed (required for sampling)")
-        sub.add_argument("--poissonized", action="store_true", default=None,
-                         help="Poisson edge counts instead of a configuration matching")
-        sub.add_argument("--single-adjacency", dest="single_adjacency", action="store_true",
-                         default=None, help="clamp every adjacency entry (diagonal too) to 1")
-    if limit:
-        sub.add_argument("--grid", help="density grid as X_MAX:POINTS (default 3.0:601)")
-        sub.add_argument("--eta", type=float, help="final spectral offset (default 1e-6)")
-        sub.add_argument("--tol", type=float, help="fixed-point residual tolerance (default 1e-10)")
-        sub.add_argument("--quantize", type=int,
-                         help="atoms used to quantize a continuous law (default 2048)")
+
+def _feed_config(p: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    """Make the config file's values the command's defaults.
+
+    argparse applies a flag's type to a string default, explicit flags
+    still win, and a flag the file supplies is no longer required. Keys
+    that are not flags of the command are kept, so headers echo them.
+    """
+    defaults = {key: value for key, value in config.items() if key not in ("func", "command")}
+    for action in p._actions:
+        if action.dest in defaults:
+            action.required = False
+            if isinstance(action.default, bool):  # a store_true switch
+                defaults[action.dest] = defaults[action.dest].lower() in _TRUE
+    p.set_defaults(**defaults)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsespectra",
         description=__doc__,
@@ -410,46 +367,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("sample", help="sample a multigraph and write its edge list")
-    _add_common(p, sampling=True, limit=False)
-    p.set_defaults(func=_cmd_sample)
+    def command(name, func, help, *flags) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="key=value file supplying any flag; flags win")
+        p.add_argument("--out", default=".", help="output directory (default %(default)s)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p = subs.add_parser("esd", help="sample, diagonalize, write spectrum + histogram")
-    _add_common(p, sampling=True, limit=False)
-    p.set_defaults(func=_cmd_esd)
+    command("sample", _cmd_sample, "sample a multigraph and write its edge list",
+            *_SAMPLING, "--poissonized")
+    command("esd", _cmd_esd, "sample, diagonalize, write spectrum + histogram",
+            *_SAMPLING, "--poissonized", "--single-adjacency")
+    p = command("density", _cmd_density, "limit-law density curve for a weight law",
+                "--measure", *_LIMIT)
+    p.add_argument("--grid", default="3.0:601", help=_GRID_HELP + " (default %(default)s)")
+    p = command("support", _cmd_support, "support intervals and inverse-transform trace",
+                "--measure", "--quantize")
+    p.add_argument("--min-gap", type=float, default=1e-3,
+                   help="merge support gaps narrower than this (default %(default)s)")
+    p = command("phase-diagram", _cmd_phase_diagram, "two-atom hole/no-hole sweep")
+    p.add_argument("--alpha-range", default="1.05:20:200", help="lo:hi:count (default %(default)s)")
+    p.add_argument("--beta-range", default="0.05:0.95:200", help="lo:hi:count (default %(default)s)")
+    p = command("compare", _cmd_compare, "Kolmogorov distance between an ESD and the limit",
+                *_SAMPLING, "--poissonized", "--single-adjacency", *_LIMIT)
+    p.add_argument("--grid", help=_GRID_HELP + " (default: 800 points past the spectrum"
+                   " and the support edge)")
+    command("couple", _cmd_couple, "configuration vs poissonized sample on one degree sequence",
+            *_SAMPLING, "--single-adjacency")
 
-    p = subs.add_parser("density", help="limit-law density curve for a weight law")
-    _add_common(p, sampling=False, limit=True)
-    p.set_defaults(func=_cmd_density)
-
-    p = subs.add_parser("support", help="support intervals and inverse-transform trace")
-    _add_common(p, sampling=False, limit=True)
-    p.add_argument("--min-gap", dest="min_gap", type=float,
-                   help="merge support gaps narrower than this (default 1e-3)")
-    p.set_defaults(func=_cmd_support)
-
-    p = subs.add_parser("phase-diagram", help="two-atom hole/no-hole sweep")
-    _add_common(p, sampling=False, limit=False)
-    p.add_argument("--alpha-range", dest="alpha_range", help="lo:hi:count (default 1.05:20:200)")
-    p.add_argument("--beta-range", dest="beta_range", help="lo:hi:count (default 0.05:0.95:200)")
-    p.set_defaults(func=_cmd_phase_diagram)
-
-    p = subs.add_parser("compare", help="Kolmogorov distance between an ESD and the limit")
-    _add_common(p, sampling=True, limit=True)
-    p.set_defaults(func=_cmd_compare)
-
-    p = subs.add_parser("couple", help="configuration vs poissonized sample on one degree sequence")
-    _add_common(p, sampling=True, limit=False)
-    p.set_defaults(func=_cmd_couple)
-
+    for p in subs.choices.values():
+        _feed_config(p, config or {})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    run = _Run(args)
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
     try:
-        return args.func(run)
+        args = build_parser(_read_config(config_path) if config_path else {}).parse_args(argv)
+        return args.func(args)
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1

@@ -147,7 +147,7 @@ def build_degree_sequence(
 class DegreeGroup:
     """One block of a mixed-regime degree recipe.
 
-    count: "rest", "sqrt", an int, or a float fraction of n.
+    count: "rest", "sqrt", an int >= 0, or a float fraction of n in (0, 1).
     law:   weight family for the block (sampled i.i.d., not renormalized).
     scale: "sqrt", "log", or a positive number; degree = floor(scale(n)·t).
     """
@@ -157,6 +157,12 @@ class DegreeGroup:
     scale: str | float
 
     def __post_init__(self) -> None:
+        count = self.count
+        if not (count in ("rest", "sqrt")
+                or (isinstance(count, int) and not isinstance(count, bool) and count >= 0)
+                or (isinstance(count, float) and 0 < count < 1)):
+            raise ValueError("group count must be 'rest', 'sqrt', an integer >= 0 or a fraction"
+                             f" in (0, 1) (got {count!r})")
         if not isinstance(self.scale, str) and not 0 < self.scale < math.inf:
             raise ValueError(f"group scale must be positive and finite (got {self.scale!r})")
 
@@ -165,9 +171,9 @@ class DegreeGroup:
             return None
         if self.count == "sqrt":
             return int(round(math.sqrt(n)))
-        if isinstance(self.count, float) and 0 < self.count < 1:
+        if isinstance(self.count, float):
             return int(round(self.count * n))
-        return int(self.count)
+        return self.count
 
 
 def build_grouped_degrees(groups, n: int, seed=None) -> DegreeSequence:

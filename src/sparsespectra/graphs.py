@@ -215,15 +215,6 @@ def sample_poissonized(seq: DegreeSequence, seed=None) -> Multigraph:
     return Multigraph.from_instances(n, ii, jj)
 
 
-def _log_double_factorial_odd(k: int) -> float:
-    """log((k)!!) for odd k ≥ −1, with (−1)!! = 1."""
-    if k < 0:
-        return 0.0
-    # k = 2t−1: (2t−1)!! = (2t)! / (2^t t!)
-    t = (k + 1) // 2
-    return math.lgamma(2 * t + 1) - t * math.log(2.0) - math.lgamma(t + 1)
-
-
 def extend_configuration(
     g: Multigraph, new_degrees: DegreeSequence, seed=None
 ) -> Multigraph:
@@ -259,15 +250,10 @@ def extend_configuration(
         return g
     m = g.edge_total
     jmax = min(m, r // 2)
-    logw = np.empty(jmax + 1)
-    lgr = math.lgamma(r + 1)
-    for j in range(jmax + 1):
-        logw[j] = (
-            math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
-            + lgr - math.lgamma(r - 2 * j + 1)
-            + _log_double_factorial_odd(r - 2 * j - 1)
-            - _log_double_factorial_odd(2 * j - 1)
-        )
+    # ratio of consecutive weights: w(j+1)/w(j) = (m−j)(r−2j) / ((j+1)(2j+1))
+    js = np.arange(jmax)
+    ratios = (m - js) * (r - 2 * js) / ((js + 1) * (2 * js + 1))
+    logw = np.concatenate([[0.0], np.cumsum(np.log(ratios))])
     w = np.exp(logw - logw.max())
     j = int(rng.choice(jmax + 1, p=w / w.sum()))
 

@@ -56,20 +56,11 @@ def freedman_diaconis_histogram(values, bins: int | None = None):
 
     Returns (bin_left, bin_right, density) arrays.
     """
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
+    vals = np.asarray(values, dtype=float).ravel()
     n = vals.size
     if n == 0:
         raise ValueError("empty sample")
-    if bins is None:
-        q75, q25 = np.percentile(vals, [75, 25])
-        iqr = q75 - q25
-        width = 2.0 * iqr / n ** (1.0 / 3.0)
-        span = vals[-1] - vals[0]
-        if width <= 0 or span <= 0:
-            bins = 1
-        else:
-            bins = max(1, int(np.ceil(span / width)))
-    counts, edges = np.histogram(vals, bins=bins)
+    counts, edges = np.histogram(vals, bins="fd" if bins is None else bins)
     widths = np.diff(edges)
     density = counts / (n * widths)
     return edges[:-1], edges[1:], density

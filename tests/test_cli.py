@@ -159,6 +159,26 @@ def test_sample_rejects_bad_group_scale(tmp_path, capsys, scale):
     assert f"group scale must be positive and finite (got {float(scale)!r})" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["3.5", "1.0", "-5"])
+def test_sample_rejects_bad_group_count(tmp_path, capsys, count):
+    spec = f"groups:{count}@one-plus-exponential(rate=1)@sqrt;rest@uniform(low=0,high=2)@log"
+    rc = main(["sample", "--measure", spec, "--n", "100", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    expected = ("group count must be 'rest', 'sqrt', an integer >= 0 or a fraction in (0, 1)"
+                f" (got {count})")
+    assert expected in capsys.readouterr().err
+
+
+def test_sample_normalizes_an_atomic_law(tmp_path):
+    # the atoms have mean 2.125; unscaled, omega 10 would realize 21.25
+    rc = main(["sample", "--measure", "atoms:0.5=0.75,7=0.25", "--n", "2000", "--omega", "10",
+               "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    meta_lines = (tmp_path / "sample_edges.txt").read_text().splitlines()
+    omega = float(next(l for l in meta_lines if l.startswith("# omega_realized=")).partition("=")[2])
+    assert 9 <= omega <= 10
+
+
 def test_sample_poissonized_runs(tmp_path):
     rc = main(["sample", "--measure", "delta:1", "--n", "50", "--seed", "3",
                "--poissonized", "--out", str(tmp_path)])
@@ -191,6 +211,8 @@ def test_density_unit_mass_and_metadata(tmp_path):
     meta, rows = read_rows(tmp_path / "density.csv", "x,rho")
     assert len(rows) == 201
     assert 0.99 <= float(meta["mass"]) <= 1.01
+    # defaulted settings are echoed too
+    assert (meta["eta"], meta["tol"], meta["quantize"]) == ("1e-06", "1e-10", "2048")
     xs = np.array([float(r[0]) for r in rows])
     rho = np.array([float(r[1]) for r in rows])
     assert np.array_equal(xs, -xs[::-1])
@@ -203,6 +225,15 @@ def test_density_quantized_family(tmp_path):
     assert rc == 0
     meta, _ = read_rows(tmp_path / "density.csv", "x,rho")
     assert meta["nu_atoms"] == "256"
+    assert 0.99 <= float(meta["mass"]) <= 1.01
+
+
+def test_density_normalizes_an_atomic_law(tmp_path):
+    # the README's atoms example has mean 2.125
+    rc = main(["density", "--measure", "atoms:0.5=0.75,7=0.25", "--grid", "6:401",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    meta, _ = read_rows(tmp_path / "density.csv", "x,rho")
     assert 0.99 <= float(meta["mass"]) <= 1.01
 
 
@@ -252,6 +283,15 @@ def test_support_two_atom_files(tmp_path):
     _, trace = read_rows(tmp_path / "xi_trace.csv", "gap,v,xi,xi_prime")
     assert {r[0] for r in trace} == {"0", "1", "2"}
     assert len(trace) == 3 * 400
+
+
+def test_support_normalizes_an_atomic_law(tmp_path, capsys):
+    # atoms 1 and 2 rescale to 2/3 and 4/3, whose support is one interval
+    rc = main(["support", "--measure", "atoms:1=0.5,2=0.5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "support (1 component): [-2.16923, 2.16923]" in capsys.readouterr().out
+    _, sym = read_rows(tmp_path / "support_symmetric.csv", "left,right")
+    assert len(sym) == 1
 
 
 def test_support_min_gap_flag(tmp_path):
@@ -399,9 +439,59 @@ def test_config_file_supplies_and_flags_override(tmp_path):
     assert "# edge_total=120" in body  # flag --n beat the config's 60
 
 
-def test_missing_required_parameter_exits(tmp_path):
-    with pytest.raises(SystemExit):
+def test_missing_required_parameter_exits(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["sample", "--measure", "delta:1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --n, --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("sample", ["--single-adjacency"]),
+    ("couple", ["--poissonized"]),
+    ("support", ["--grid", "3:11"]),
+    ("support", ["--eta", "1e-4"]),
+    ("support", ["--tol", "1e-8"]),
+    ("phase-diagram", ["--measure", "delta:1"]),
+])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command, flag):
+    extra = [] if command == "phase-diagram" else ["--measure", "delta:1"]
+    extra += ["--n", "20", "--seed", "1"] if command in ("sample", "couple") else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *extra, *flag, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,poissonized", [("false", False), ("true", True)])
+def test_config_switch_picks_the_sampler(tmp_path, monkeypatch, value, poissonized):
+    used = []
+
+    def recording(name):
+        sampler = getattr(cli, name)
+
+        def wrapped(seq, seed):
+            used.append(name)
+            return sampler(seq, seed=seed)
+        return wrapped
+
+    for name in ("sample_configuration", "sample_poissonized"):
+        monkeypatch.setattr(cli, name, recording(name))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"measure=delta:1\nn=40\nseed=3\nomega=4\npoissonized={value}\n")
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert used == ["sample_poissonized" if poissonized else "sample_configuration"]
+    meta_lines = (tmp_path / "o" / "sample_edges.txt").read_text().splitlines()
+    assert f"# poissonized={poissonized}" in meta_lines
+
+
+def test_config_value_takes_the_flag_type(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("measure=delta:1\neta=1e-4\ngrid=2.5:21\n")
+    assert main(["density", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta, _ = read_rows(tmp_path / "density.csv", "x,rho")
+    assert meta["eta"] == "0.0001"
+    assert meta["eta_final"] == "0.0001"
 
 
 def test_bad_measure_returns_error_code(tmp_path):
