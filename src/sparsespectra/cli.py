@@ -37,10 +37,11 @@ import numpy as np
 from .degrees import DegreeGroup, _resolve_scale, build_degree_sequence, build_grouped_degrees
 from .families import parse_family
 from .graphs import sample_configuration, sample_poissonized, scaled_adjacency
-from .limit_law import DEFAULT_ETA, DEFAULT_TOL, ConvergenceError, density_curve, quantize_measure
+from .limit_law import (DEFAULT_ETA, DEFAULT_QUANTIZE, DEFAULT_TOL, ConvergenceError,
+                        density_curve, quantize_measure)
 from .measures import DiscreteMeasure, kolmogorov_distance, kolmogorov_vs_cdf, wasserstein1
 from .spectrum import eigenvalues_symmetric, trace_distance_bound, write_histogram_csv, write_spectrum_csv
-from .support import TwoAtomLaw, _xi_and_slope, phase_diagram, support_mp
+from .support import DEFAULT_MIN_GAP, TwoAtomLaw, _xi_and_slope, phase_diagram, support_mp
 from .tables import write_table
 
 __all__ = ["main"]
@@ -116,20 +117,23 @@ def _limit_weight_law(spec, quantize_m: int) -> DiscreteMeasure:
     return quantize_measure(spec, quantize_m)
 
 
-def _sampled_graph(args: argparse.Namespace, spec):
+def _sampled_graph(args: argparse.Namespace, spec, poissonized: bool):
     """Degree sequence from the sampling flags and one multigraph on it."""
     if isinstance(spec, list):
         seq = build_grouped_degrees(spec, args.n, seed=args.seed)
     else:
         seq = build_degree_sequence(spec, args.n, _resolve_scale(args.omega, args.n), seed=args.seed)
-    sampler = sample_poissonized if getattr(args, "poissonized", False) else sample_configuration
+    sampler = sample_poissonized if poissonized else sample_configuration
     return seq, sampler(seq, seed=args.seed + 1)
+
+
+_GRID_POINTS = 601
 
 
 def _parse_grid(text: str) -> tuple[float, int]:
     """X_MAX[:POINTS] as (x_max, points); symmetric_grid checks the values."""
     x_max_s, _, points_s = text.partition(":")
-    return float(x_max_s), int(points_s) if points_s else 601
+    return float(x_max_s), int(points_s) if points_s else _GRID_POINTS
 
 
 def _parse_linspace(text: str) -> np.ndarray:
@@ -173,7 +177,7 @@ def _out_dir(args: argparse.Namespace) -> str:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    seq, graph = _sampled_graph(args, _read_measure(args))
+    seq, graph = _sampled_graph(args, _read_measure(args), args.poissonized)
     out = _out_dir(args)
     meta = _echo(args, omega_realized=f"{seq.omega:.17g}", edge_total=graph.edge_total)
     graph.save_edges(os.path.join(out, "sample_edges.txt"), metadata=meta)
@@ -186,7 +190,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _sampled_eigenvalues(args: argparse.Namespace, spec):
-    seq, graph = _sampled_graph(args, spec)
+    seq, graph = _sampled_graph(args, spec, args.poissonized)
     adj = scaled_adjacency(graph, seq.omega, single=args.single_adjacency)
     return seq, graph, eigenvalues_symmetric(adj)
 
@@ -295,8 +299,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_couple(args: argparse.Namespace) -> int:
-    # couple takes no --poissonized, so this is the configuration sample
-    seq, g_conf = _sampled_graph(args, _read_measure(args))
+    seq, g_conf = _sampled_graph(args, _read_measure(args), poissonized=False)
     g_pois = sample_poissonized(seq, seed=args.seed + 2)
     a = scaled_adjacency(g_conf, seq.omega, single=args.single_adjacency)
     b = scaled_adjacency(g_pois, seq.omega, single=args.single_adjacency)
@@ -334,32 +337,29 @@ _FLAGS = {
     "--eta": dict(type=float, default=DEFAULT_ETA, help="final spectral offset (default %(default)s)"),
     "--tol": dict(type=float, default=DEFAULT_TOL,
                   help="fixed-point residual tolerance (default %(default)s)"),
-    "--quantize": dict(type=int, default=2048,
+    "--quantize": dict(type=int, default=DEFAULT_QUANTIZE,
                        help="atoms used to quantize a continuous law (default %(default)s)"),
 }
 _SAMPLING = ("--measure", "--n", "--omega", "--seed")
 _LIMIT = ("--eta", "--tol", "--quantize")
 _GRID_HELP = "density grid as X_MAX[:POINTS]"
+_SWITCHES = ("poissonized", "single_adjacency")
 _TRUE = ("1", "true", "yes", "on")
 
 
-def _feed_config(p: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Make the config file's values the command's defaults.
+def _config_defaults(config: dict[str, str]) -> dict:
+    """The config file's values as parser defaults; switches read as bools.
 
-    argparse applies a flag's type to a string default, explicit flags
-    still win, and a flag the file supplies is no longer required. Keys
-    that are not flags of the command are kept, so headers echo them.
+    argparse applies a flag's type to a string default and explicit flags
+    still win. Keys that are not flags of a command are kept, so its
+    headers echo them.
     """
-    defaults = {key: value for key, value in config.items() if key not in ("func", "command")}
-    for action in p._actions:
-        if action.dest in defaults:
-            action.required = False
-            if isinstance(action.default, bool):  # a store_true switch
-                defaults[action.dest] = defaults[action.dest].lower() in _TRUE
-    p.set_defaults(**defaults)
+    return {key: value.lower() in _TRUE if key in _SWITCHES else value
+            for key, value in config.items() if key not in ("func", "command")}
 
 
 def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    defaults = _config_defaults(config or {})
     parser = argparse.ArgumentParser(
         prog="sparsespectra",
         description=__doc__,
@@ -373,7 +373,10 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
         p.add_argument("--config", help="key=value file supplying any flag; flags win")
         p.add_argument("--out", default=".", help="output directory (default %(default)s)")
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            spec = dict(_FLAGS[flag])
+            if flag[2:].replace("-", "_") in defaults:  # the config file supplies it
+                spec.pop("required", None)
+            p.add_argument(flag, **spec)
         return p
 
     command("sample", _cmd_sample, "sample a multigraph and write its edge list",
@@ -382,10 +385,10 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
             *_SAMPLING, "--poissonized", "--single-adjacency")
     p = command("density", _cmd_density, "limit-law density curve for a weight law",
                 "--measure", *_LIMIT)
-    p.add_argument("--grid", default="3.0:601", help=_GRID_HELP + " (default %(default)s)")
+    p.add_argument("--grid", default=f"3.0:{_GRID_POINTS}", help=_GRID_HELP + " (default %(default)s)")
     p = command("support", _cmd_support, "support intervals and inverse-transform trace",
                 "--measure", "--quantize")
-    p.add_argument("--min-gap", type=float, default=1e-3,
+    p.add_argument("--min-gap", type=float, default=DEFAULT_MIN_GAP,
                    help="merge support gaps narrower than this (default %(default)s)")
     p = command("phase-diagram", _cmd_phase_diagram, "two-atom hole/no-hole sweep")
     p.add_argument("--alpha-range", default="1.05:20:200", help="lo:hi:count (default %(default)s)")
@@ -398,7 +401,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
             *_SAMPLING, "--single-adjacency")
 
     for p in subs.choices.values():
-        _feed_config(p, config or {})
+        p.set_defaults(**defaults)
     return parser
 
 

@@ -45,6 +45,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_ETA = 1e-6
+DEFAULT_QUANTIZE = 2048
 _MEAN_TOL = 1e-9
 
 
@@ -426,7 +427,9 @@ def density_curve(
     )
 
 
-def quantize_measure(law: ContinuousLaw | DiscreteMeasure, m: int = 2048) -> DiscreteMeasure:
+def quantize_measure(
+    law: ContinuousLaw | DiscreteMeasure, m: int = DEFAULT_QUANTIZE
+) -> DiscreteMeasure:
     """Deterministic m-atom quantization of a continuous law.
 
     Atoms sit at the conditional means of the m equal-probability quantile

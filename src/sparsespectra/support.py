@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _HOLE_TOL = 1e-12
+DEFAULT_MIN_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def support_mp(
     nu: DiscreteMeasure,
-    min_gap: float = 1e-3,
+    min_gap: float = DEFAULT_MIN_GAP,
     x_cap: float | None = None,
 ) -> SupportIntervals:
     """Support of the square law on [0, ∞) from the convexity of φ.
@@ -250,7 +251,7 @@ def support_mp(
 
 def support_mu(
     nu: DiscreteMeasure,
-    min_gap: float = 1e-3,
+    min_gap: float = DEFAULT_MIN_GAP,
     x_cap: float | None = None,
 ) -> SupportIntervals:
     """Support of the symmetric limit law: ±√ image of the square-law support."""

@@ -485,6 +485,21 @@ def test_config_switch_picks_the_sampler(tmp_path, monkeypatch, value, poissoniz
     assert f"# poissonized={poissonized}" in meta_lines
 
 
+@pytest.mark.parametrize("value", ["false", "true"])
+def test_couple_ignores_a_config_poissonized_switch(tmp_path, value):
+    flags = ["--measure", "two-atom:alpha=4,beta=0.5", "--n", "60", "--seed", "5"]
+    assert main(["couple", *flags, "--out", str(tmp_path / "plain")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"poissonized={value}\n")
+    assert main(["couple", *flags, "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+    for name, header in [("couple_configuration.csv", "eigenvalue"),
+                         ("couple_poissonized.csv", "eigenvalue"),
+                         ("couple_summary.csv", "metric,value")]:
+        _, plain = read_rows(tmp_path / "plain" / name, header)
+        _, from_cfg = read_rows(tmp_path / "cfg" / name, header)
+        assert from_cfg == plain
+
+
 def test_config_value_takes_the_flag_type(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("measure=delta:1\neta=1e-4\ngrid=2.5:21\n")
