@@ -20,6 +20,8 @@ from .graphs import (
     sample_configuration,
     sample_poissonized,
     scaled_adjacency,
+    scaled_adjacency_distance,
+    scaled_adjacency_pair,
 )
 from .limit_law import (
     ConvergenceError,
@@ -45,6 +47,7 @@ from .measures import (
 from .spectrum import (
     esd,
     eigenvalues_symmetric,
+    eigenvalues_symmetric_pair,
     freedman_diaconis_histogram,
     trace_distance_bound,
     write_histogram_csv,
@@ -86,6 +89,7 @@ __all__ = [
     "density_mp",
     "density_mu",
     "eigenvalues_symmetric",
+    "eigenvalues_symmetric_pair",
     "esd",
     "extend_configuration",
     "freedman_diaconis_histogram",
@@ -97,6 +101,8 @@ __all__ = [
     "sample_configuration",
     "sample_poissonized",
     "scaled_adjacency",
+    "scaled_adjacency_distance",
+    "scaled_adjacency_pair",
     "size_bias",
     "solve_g",
     "solve_real_line",

@@ -36,11 +36,13 @@ import numpy as np
 
 from .degrees import DegreeGroup, _resolve_scale, build_degree_sequence, build_grouped_degrees
 from .families import parse_family
-from .graphs import sample_configuration, sample_poissonized, scaled_adjacency
+from .graphs import (sample_configuration, sample_poissonized, scaled_adjacency,
+                     scaled_adjacency_distance, scaled_adjacency_pair)
 from .limit_law import (DEFAULT_ETA, DEFAULT_QUANTIZE, DEFAULT_TOL, ConvergenceError,
                         density_curve, quantize_measure)
 from .measures import DiscreteMeasure, kolmogorov_distance, kolmogorov_vs_cdf, wasserstein1
-from .spectrum import eigenvalues_symmetric, trace_distance_bound, write_histogram_csv, write_spectrum_csv
+from .spectrum import (eigenvalues_symmetric, eigenvalues_symmetric_pair, write_histogram_csv,
+                       write_spectrum_csv)
 from .support import DEFAULT_MIN_GAP, TwoAtomLaw, _xi_and_slope, phase_diagram, support_mp
 from .tables import write_table
 
@@ -301,15 +303,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_couple(args: argparse.Namespace) -> int:
     seq, g_conf = _sampled_graph(args, _read_measure(args), poissonized=False)
     g_pois = sample_poissonized(seq, seed=args.seed + 2)
-    a = scaled_adjacency(g_conf, seq.omega, single=args.single_adjacency)
-    b = scaled_adjacency(g_pois, seq.omega, single=args.single_adjacency)
-    eig_a = eigenvalues_symmetric(a)
-    eig_b = eigenvalues_symmetric(b)
+    eig_a, eig_b = eigenvalues_symmetric_pair(
+        *scaled_adjacency_pair(g_conf, g_pois, seq.omega, single=args.single_adjacency))
     esd_a = DiscreteMeasure.from_samples(eig_a)
     esd_b = DiscreteMeasure.from_samples(eig_b)
     ks = kolmogorov_distance(esd_a, esd_b)
     w1 = wasserstein1(esd_a, esd_b)
-    hw = trace_distance_bound(a, b)
+    hw = scaled_adjacency_distance(g_conf, g_pois, seq.omega, single=args.single_adjacency)
     out = _out_dir(args)
     meta = _echo(args, omega_realized=f"{seq.omega:.17g}")
     write_spectrum_csv(os.path.join(out, "couple_configuration.csv"), eig_a, metadata=meta)

@@ -54,8 +54,10 @@ class OnePlusExponential(ContinuousLaw):
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0 or self.scale <= 0:
-            raise ValueError("rate and scale must be positive")
+        if not 0 < self.rate:
+            raise ValueError(f"rate must be positive (got {self.rate!r})")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite (got {self.scale!r})")
 
     def mean(self) -> float:
         return self.scale * (1.0 + 1.0 / self.rate)
@@ -96,8 +98,10 @@ class UniformLaw(ContinuousLaw):
     high: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.high):
+            raise ValueError(f"high must be finite (got {self.high!r})")
         if not (0 <= self.low < self.high):
-            raise ValueError("need 0 <= low < high")
+            raise ValueError(f"need 0 <= low < high (got low={self.low!r}, high={self.high!r})")
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)

@@ -15,7 +15,13 @@ Three samplers share the :class:`Multigraph` output type:
 
 :func:`scaled_adjacency` turns a sample into the plain dense ndarray
 A/sqrt(omega), symmetric by construction, whose spectrum the limit law
-describes.
+describes. :func:`scaled_adjacency_pair` writes two samples' scaled
+adjacencies into one (n+1)×n buffer, each in the lower triangle of its own
+view, for a solver that reads only that triangle.
+:func:`scaled_adjacency_distance` gives sqrt(trace((A−B)²)/n) for two
+samples from their edge lists, with no dense matrix. All three take the
+entries from one place, so the multigraph convention and the
+single-adjacency clamp are stated once.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ __all__ = [
     "sample_poissonized",
     "extend_configuration",
     "scaled_adjacency",
+    "scaled_adjacency_pair",
+    "scaled_adjacency_distance",
 ]
 
 
@@ -99,13 +107,20 @@ class Multigraph:
         diagonal carries 2·loops, so every row sums to the vertex degree.
         With single=True all entries (diagonal included) are clamped to 1.
         """
+        rows, cols, vals = self._lower_entries(single)
         a = np.zeros((self.n, self.n))
-        m = np.minimum(self.mult, 1) if single else self.mult
-        a[self.edges_i, self.edges_j] = m
-        a[self.edges_j, self.edges_i] = m
-        diag = np.minimum(self.loop_count, 1) if single else 2 * self.loop_count
-        a[self.loop_vertex, self.loop_vertex] = diag
+        a[rows, cols] = vals
+        a[cols, rows] = vals
         return a
+
+    def _lower_entries(self, single: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and value of every nonzero adjacency entry on or
+        below the diagonal (see `adjacency` for the convention)."""
+        off = np.minimum(self.mult, 1) if single else self.mult
+        diag = np.minimum(self.loop_count, 1) if single else 2 * self.loop_count
+        return (np.concatenate([self.edges_j, self.loop_vertex]),
+                np.concatenate([self.edges_i, self.loop_vertex]),
+                np.concatenate([off, diag]))
 
     # -- text round trip ----------------------------------------------
 
@@ -284,4 +299,57 @@ def scaled_adjacency(g: Multigraph, omega: float, single: bool = False) -> np.nd
     """Adjacency divided by sqrt(omega); the spectral object of interest."""
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return g.adjacency(single=single) / math.sqrt(omega)
+    a = g.adjacency(single=single)
+    a /= math.sqrt(omega)
+    return a
+
+
+def scaled_adjacency_pair(g: Multigraph, h: Multigraph, omega: float,
+                          single: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled adjacencies of g and h as two views of one (n+1)×n buffer.
+
+    Only the lower triangle and diagonal of each view hold its matrix; its
+    strict upper triangle holds the other one. g's matrix is P[1:], whose
+    lower triangle is P[r, c] with r > c; h's is P[:n].T, whose lower
+    triangle is P[r, c] with r ≤ c. Each view's lower triangle equals that
+    of `scaled_adjacency` bit for bit, so a solver that reads only the
+    lower triangle (`spectrum.eigenvalues_symmetric`) sees the same matrix,
+    in the memory of one n×n matrix instead of two.
+    """
+    n = _common_order(g, h, omega)
+    packed = np.zeros((n + 1, n))
+    rows, cols, vals = g._lower_entries(single)
+    packed[rows + 1, cols] = vals
+    rows, cols, vals = h._lower_entries(single)
+    packed[cols, rows] = vals
+    packed /= math.sqrt(omega)
+    return packed[1:], packed[:n].T
+
+
+def scaled_adjacency_distance(g: Multigraph, h: Multigraph, omega: float,
+                              single: bool = False) -> float:
+    """sqrt(trace((A−B)²)/n) for the scaled adjacencies A, B of g and h.
+
+    The value of `spectrum.trace_distance_bound(A, B)`, taken from the edge
+    lists in O(|E|) instead of from dense matrices: the squared differences
+    of the integer entries are summed exactly (off-diagonal pairs twice,
+    loops through the diagonal), then divided once by omega·n.
+    """
+    n = _common_order(g, h, omega)
+    rows_g, cols_g, vals_g = g._lower_entries(single)
+    rows_h, cols_h, vals_h = h._lower_entries(single)
+    keys, where = np.unique(np.concatenate([rows_g * n + cols_g, rows_h * n + cols_h]),
+                            return_inverse=True)
+    diff = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(diff, where, np.concatenate([vals_g, -vals_h]))
+    row, col = np.divmod(keys, n)
+    total = int(np.sum(np.where(row == col, 1, 2) * diff * diff))
+    return math.sqrt(total / (omega * n))
+
+
+def _common_order(g: Multigraph, h: Multigraph, omega: float) -> int:
+    if g.n != h.n:
+        raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    return g.n

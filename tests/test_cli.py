@@ -11,8 +11,11 @@ from sparsespectra import (
     ConvergenceError,
     DiscreteMeasure,
     OnePlusExponential,
+    eigenvalues_symmetric,
     parse_family,
     quantize_measure,
+    scaled_adjacency,
+    trace_distance_bound,
     xi,
     xi_prime,
 )
@@ -157,6 +160,23 @@ def test_sample_rejects_bad_group_scale(tmp_path, capsys, scale):
                    "--out", str(tmp_path)])
     assert rc == 2
     assert f"group scale must be positive and finite (got {float(scale)!r})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,spec,name", [
+    ("sample", "one-plus-exponential:rate=nan", "rate"),
+    ("density", "one-plus-exponential:rate=nan", "rate"),
+    ("sample", "one-plus-exponential:rate=1,scale=inf", "scale"),
+    ("density", "one-plus-exponential:rate=1,scale=nan", "scale"),
+    ("sample", "uniform:low=0,high=inf", "high"),
+    ("density", "uniform:low=0,high=inf", "high"),
+])
+def test_non_finite_family_parameter_is_rejected_by_name(tmp_path, capsys, command, spec, name):
+    extra = ["--n", "50", "--seed", "1"] if command == "sample" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--measure", spec, *extra, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"error: {name} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", ["3.5", "1.0", "-5"])
@@ -418,6 +438,34 @@ def test_couple_outputs_and_metric_relations(tmp_path):
     _, conf = read_rows(tmp_path / "couple_configuration.csv", "eigenvalue")
     _, pois = read_rows(tmp_path / "couple_poissonized.csv", "eigenvalue")
     assert len(conf) == len(pois) == 300
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_couple_matches_per_graph_references(tmp_path, monkeypatch, single):
+    graphs = []
+
+    def recording(sampler):
+        def wrapped(seq, seed):
+            graphs.append(sampler(seq, seed=seed))
+            return graphs[-1]
+        return wrapped
+
+    for name in ("sample_configuration", "sample_poissonized"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    rc = main(["couple", "--measure", "two-atom:alpha=4,beta=0.5", "--n", "80", "--omega", "12",
+               "--seed", "3", "--out", str(tmp_path), *(["--single-adjacency"] if single else [])])
+    assert rc == 0
+    assert len(graphs) == 2
+    for g in graphs:  # the packing must place loops and multi-edges right
+        assert g.loop_count.size > 0 and (g.mult > 1).any()
+    meta, rows = read_rows(tmp_path / "couple_summary.csv", "metric,value")
+    omega = float(meta["omega_realized"])
+    refs = [scaled_adjacency(g, omega, single=single) for g in graphs]
+    for name, ref in zip(["couple_configuration.csv", "couple_poissonized.csv"], refs):
+        _, eigs = read_rows(tmp_path / name, "eigenvalue")
+        assert np.array_equal([float(r[0]) for r in eigs], eigenvalues_symmetric(ref))
+    hw = float(dict(rows)["hoffman_wielandt_bound"])
+    assert math.isclose(hw, trace_distance_bound(*refs), rel_tol=1e-12)
 
 
 # -- config files ------------------------------------------------------------------------

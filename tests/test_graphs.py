@@ -13,6 +13,8 @@ from sparsespectra import (
     sample_configuration,
     sample_poissonized,
     scaled_adjacency,
+    scaled_adjacency_distance,
+    scaled_adjacency_pair,
 )
 
 from oracles import graph_key, matching_distribution, total_variation
@@ -274,6 +276,14 @@ def test_scaled_adjacency_rejects_bad_omega():
     g = empty_graph(2)
     with pytest.raises(ValueError):
         scaled_adjacency(g, omega=0.0)
+
+
+@pytest.mark.parametrize("pair_function", [scaled_adjacency_pair, scaled_adjacency_distance])
+def test_pair_functions_reject_bad_input(pair_function):
+    with pytest.raises(ValueError, match="vertex counts differ"):
+        pair_function(empty_graph(2), empty_graph(3), omega=1.0)
+    with pytest.raises(ValueError, match="omega must be positive"):
+        pair_function(empty_graph(2), empty_graph(2), omega=0.0)
 
 
 def test_trace_identity_exact_on_simple_loopless_graph():

@@ -9,6 +9,7 @@ from sparsespectra import (
     DegreeSequence,
     Multigraph,
     eigenvalues_symmetric,
+    eigenvalues_symmetric_pair,
     esd,
     freedman_diaconis_histogram,
     sample_configuration,
@@ -52,6 +53,21 @@ def test_descending_order_and_moment_identities():
         assert np.all(np.diff(eigs) <= 0)
         assert math.isclose(eigs.sum(), np.trace(a), abs_tol=1e-8 * 40)
         assert math.isclose((eigs ** 2).sum(), np.sum(a * a), rel_tol=1e-10)
+
+
+def test_solver_reads_only_the_lower_triangle():
+    # scaled_adjacency_pair stores another matrix in each view's upper triangle
+    rng = np.random.default_rng(4)
+    raw = rng.normal(size=(30, 30))
+    a = 0.5 * (raw + raw.T)
+    poisoned = a.copy()
+    poisoned[np.triu_indices(30, 1)] = np.nan
+    assert np.array_equal(eigenvalues_symmetric(poisoned), eigenvalues_symmetric(a))
+
+
+def test_pair_raises_the_worker_solve_error():
+    with pytest.raises(np.linalg.LinAlgError, match="square"):
+        eigenvalues_symmetric_pair(np.eye(3), np.ones((2, 3)))
 
 
 def test_esd_of_zero_matrix_is_point_mass_at_zero():
