@@ -27,7 +27,6 @@ from .limit_law import (
     ConvergenceError,
     DensityCurve,
     StieltjesSolution,
-    atom_mass_at_zero,
     density_curve,
     density_mp,
     density_mu,
@@ -81,7 +80,6 @@ __all__ = [
     "SupportIntervals",
     "TwoAtomLaw",
     "UniformLaw",
-    "atom_mass_at_zero",
     "build_degree_sequence",
     "build_grouped_degrees",
     "degree_esd",

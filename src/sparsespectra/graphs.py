@@ -47,31 +47,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Undirected multigraph: parallel edge counts plus per-vertex loops.
+    """Undirected multigraph as counted vertex pairs.
 
-    edges_i/edges_j hold the endpoints (i < j) of each distinct vertex
-    pair with at least one edge; mult holds the multiplicities. Loops are
-    stored separately and count 2 toward their vertex degree.
+    Row k joins edges_i[k] ≤ edges_j[k] by mult[k] ≥ 1 edges. A row with
+    edges_i == edges_j is a loop row: mult loops at that vertex, each
+    adding 2 to its degree. Samplers store the rows sorted by (i, j).
     """
 
     n: int
     edges_i: np.ndarray
     edges_j: np.ndarray
     mult: np.ndarray
-    loop_vertex: np.ndarray
-    loop_count: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("edges_i", "edges_j", "mult", "loop_vertex", "loop_count"):
+        for name in ("edges_i", "edges_j", "mult"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         if not (self.edges_i.shape == self.edges_j.shape == self.mult.shape):
             raise ValueError("edge arrays must have matching shapes")
-        if self.loop_vertex.shape != self.loop_count.shape:
-            raise ValueError("loop arrays must have matching shapes")
-        if (self.edges_i >= self.edges_j).any():
-            raise ValueError("edges must be stored with i < j")
-        if (self.mult <= 0).any() or (self.loop_count <= 0).any():
-            raise ValueError("multiplicities and loop counts must be positive")
+        if (self.edges_i > self.edges_j).any():
+            raise ValueError("edges must be stored with i <= j")
+        if (self.mult <= 0).any():
+            raise ValueError("multiplicities must be positive")
+        _reject_outside(self.n, self.edges_i, self.edges_j)
 
     # -- derived quantities -------------------------------------------
 
@@ -79,34 +76,24 @@ class Multigraph:
         deg = np.zeros(self.n, dtype=np.int64)
         np.add.at(deg, self.edges_i, self.mult)
         np.add.at(deg, self.edges_j, self.mult)
-        np.add.at(deg, self.loop_vertex, 2 * self.loop_count)
         return deg
 
     def degree_sequence(self) -> DegreeSequence:
-        return DegreeSequence.from_degrees(self.degrees().tolist())
+        return DegreeSequence(self.degrees().tolist())
 
     @property
     def edge_total(self) -> int:
         """Edges counted with multiplicity, loops included."""
-        return int(self.mult.sum() + self.loop_count.sum())
+        return int(self.mult.sum())
 
     def edge_instances(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints of every edge instance (loops appear as (v, v))."""
-        ii = np.concatenate([np.repeat(self.edges_i, self.mult),
-                             np.repeat(self.loop_vertex, self.loop_count)])
-        jj = np.concatenate([np.repeat(self.edges_j, self.mult),
-                             np.repeat(self.loop_vertex, self.loop_count)])
-        return ii, jj
+        return np.repeat(self.edges_i, self.mult), np.repeat(self.edges_j, self.mult)
 
     # -- adjacency ----------------------------------------------------
 
     def adjacency(self, single: bool = False) -> np.ndarray:
-        """Dense symmetric adjacency.
-
-        Multigraph convention: entry (i,j) is the multiplicity and the
-        diagonal carries 2·loops, so every row sums to the vertex degree.
-        With single=True all entries (diagonal included) are clamped to 1.
-        """
+        """Dense symmetric adjacency (see `_lower_entries` for the entries)."""
         rows, cols, vals = self._lower_entries(single)
         a = np.zeros((self.n, self.n))
         a[rows, cols] = vals
@@ -115,29 +102,37 @@ class Multigraph:
 
     def _lower_entries(self, single: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and value of every nonzero adjacency entry on or
-        below the diagonal (see `adjacency` for the convention)."""
-        off = np.minimum(self.mult, 1) if single else self.mult
-        diag = np.minimum(self.loop_count, 1) if single else 2 * self.loop_count
-        return (np.concatenate([self.edges_j, self.loop_vertex]),
-                np.concatenate([self.edges_i, self.loop_vertex]),
-                np.concatenate([off, diag]))
+        below the diagonal.
+
+        Multigraph convention: entry (i, j) is the multiplicity and the
+        diagonal carries 2·loops, so every row sums to the vertex degree.
+        With single=True every entry, diagonal included, is clamped to 1.
+        """
+        if single:
+            vals = np.minimum(self.mult, 1)
+        else:
+            vals = np.where(self.edges_i == self.edges_j, 2 * self.mult, self.mult)
+        return self.edges_j, self.edges_i, vals
 
     # -- text round trip ----------------------------------------------
 
     def save_edges(self, path, metadata: dict | None = None) -> None:
-        """Edge-list text: 'i j mult' lines, loops as 'i i count'."""
+        """Edge-list text: a sorted '# key=value' header that includes n,
+        then 'i j mult' lines, pairs first and loops ('v v count') after."""
+        header = {**(metadata or {}), "n": self.n}
+        loop = self.edges_i == self.edges_j
         with open(path, "w") as fh:
-            fh.write(f"# n={self.n}\n")
-            if metadata:
-                for key in sorted(metadata):
-                    fh.write(f"# {key}={metadata[key]}\n")
-            write_rows(fh, "{} {} {}\n", self.edges_i, self.edges_j, self.mult)
-            write_rows(fh, "{} {} {}\n", self.loop_vertex, self.loop_vertex, self.loop_count)
+            for key in sorted(header):
+                fh.write(f"# {key}={header[key]}\n")
+            for rows in (~loop, loop):
+                write_rows(fh, "{} {} {}\n",
+                           self.edges_i[rows], self.edges_j[rows], self.mult[rows])
 
     @classmethod
     def load_edges(cls, path) -> "Multigraph":
+        """Read `save_edges` text back, rows sorted by (i, j)."""
         n = None
-        ei, ej, mm, lv, lc = [], [], [], [], []
+        rows = []
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
@@ -149,28 +144,30 @@ class Multigraph:
                         n = int(body[2:])
                     continue
                 i, j, m = (int(tok) for tok in line.split())
-                if i == j:
-                    lv.append(i)
-                    lc.append(m)
-                else:
-                    ei.append(min(i, j))
-                    ej.append(max(i, j))
-                    mm.append(m)
+                rows.append((min(i, j), max(i, j), m))
         if n is None:
             raise ValueError("edge-list file lacks the '# n=' header")
-        return cls(n, np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64),
-                   np.array(mm, dtype=np.int64), np.array(lv, dtype=np.int64),
-                   np.array(lc, dtype=np.int64))
+        ii, jj, mm = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        order = np.lexsort((jj, ii))
+        return cls(n, ii[order], jj[order], mm[order])
 
     @classmethod
     def from_instances(cls, n: int, ii, jj) -> "Multigraph":
-        """Collect edge instances (loops as i==j) into counted form."""
+        """Collect edge instances (loops as i == j) into counted rows."""
         ii = np.asarray(ii, dtype=np.int64)
         jj = np.asarray(jj, dtype=np.int64)
-        keys, counts = np.unique(np.minimum(ii, jj) * n + np.maximum(ii, jj), return_counts=True)
+        lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+        _reject_outside(n, lo, hi)  # the pair key below would wrap them
+        keys, counts = np.unique(lo * n + hi, return_counts=True)
         lo, hi = np.divmod(keys, n)
-        loop = lo == hi
-        return cls(n, lo[~loop], hi[~loop], counts[~loop], lo[loop], counts[loop])
+        return cls(n, lo, hi, counts)
+
+
+def _reject_outside(n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise on a vertex id outside [0, n), given lo ≤ hi entrywise."""
+    outside = np.concatenate([lo[lo < 0], hi[hi >= n]])
+    if outside.size:
+        raise ValueError(f"vertex id {outside[0]} outside [0, {n})")
 
 
 def sample_configuration(seq: DegreeSequence, seed=None) -> Multigraph:
@@ -207,7 +204,7 @@ def sample_poissonized(seq: DegreeSequence, seed=None) -> Multigraph:
     n = seq.n
     if seq.omega == 0:  # no half-edges at all: the empty graph
         empty = np.empty(0, dtype=np.int64)
-        return Multigraph(n, empty, empty, empty, empty, empty)
+        return Multigraph(n, empty, empty, empty)
     degs = seq.as_array()
     values, sizes = np.unique(degs, return_counts=True)
     members = np.argsort(degs, kind="stable")  # vertices grouped class by class

@@ -38,7 +38,6 @@ __all__ = [
     "density_mu",
     "density_curve",
     "quantize_measure",
-    "atom_mass_at_zero",
     "symmetric_grid",
 ]
 
@@ -448,17 +447,3 @@ def quantize_measure(
     current = float(locs @ weights)
     locs *= target / current
     return DiscreteMeasure.from_pairs(zip(locs, weights))
-
-
-def atom_mass_at_zero(
-    nu: DiscreteMeasure,
-    eta: float = 1e-4,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Mass the limit law places at the origin, estimated as −Re(iη·f(iη)).
-
-    Nonzero (in the η→0 limit) exactly when the weight law itself has mass
-    at 0; the estimator at η=1e−4 is accurate to a few times η.
-    """
-    f = stieltjes_mu(1j * eta, nu, tol=tol)
-    return float(-(1j * eta * f).real)

@@ -22,12 +22,28 @@ from sparsespectra.tables import _BLOCK_ROWS
 
 
 def seq_of(*degrees):
-    return DegreeSequence.from_degrees(list(degrees))
+    return DegreeSequence(list(degrees))
 
 
 def empty_graph(n):
     e = np.empty(0, dtype=np.int64)
-    return Multigraph(n, e, e, e, e, e)
+    return Multigraph(n, e, e, e)
+
+
+# -- multigraph rows -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows, message", [
+    (([1], [0], [1]), "i <= j"),
+    (([0], [1], [0]), "positive"),
+    (([0], [0], [-2]), "positive"),
+    (([0, 1], [1], [1]), "matching shapes"),
+    (([-1], [1], [1]), "vertex id -1 outside"),
+    (([0], [3], [1]), "vertex id 3 outside"),
+])
+def test_multigraph_rejects_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Multigraph(3, *rows)
 
 
 # -- configuration sampler ----------------------------------------------------
@@ -100,7 +116,7 @@ def test_poissonized_mean_degree_tracks_class_value():
     # two classes at n=2000: empirical mean degree within 2% of omega * d_a
     n = 2000
     degs = [20] * (n // 2) + [60] * (n // 2)
-    seq = DegreeSequence.from_degrees(degs)
+    seq = DegreeSequence(degs)
     acc = np.zeros(n)
     trials = 40
     for seed in range(trials):
@@ -112,7 +128,7 @@ def test_poissonized_mean_degree_tracks_class_value():
 
 
 def test_poissonized_all_zero_degrees_gives_empty_graph():
-    g = sample_poissonized(DegreeSequence((0, 0, 0), omega=0.0), seed=4)
+    g = sample_poissonized(DegreeSequence((0, 0, 0)), seed=4)
     assert g.edge_total == 0
     assert g.degrees().tolist() == [0, 0, 0]
 
@@ -149,7 +165,7 @@ def test_poissonized_pair_counts_are_independent_poisson(degrees, trials):
 def test_poissonized_memory_grows_with_edges_not_pairs():
     # an n(n−1)/2-pair sampler would hold about 1.6 GB here
     n = 10_000
-    seq = DegreeSequence.from_degrees([20] * (n // 2) + [60] * (n // 2))
+    seq = DegreeSequence([20] * (n // 2) + [60] * (n // 2))
     tracemalloc.start()
     try:
         g = sample_poissonized(seq, seed=5)
@@ -252,8 +268,9 @@ def test_multigraph_adjacency_row_sums_are_degrees():
 
 
 def test_single_adjacency_clamps_including_diagonal():
-    g = Multigraph(2, np.array([0]), np.array([1]), np.array([3]),
-                   np.array([0]), np.array([2]))
+    # row (0, 0, 2) is two loops: degree 2·2 and 2·2 on the diagonal
+    g = Multigraph(2, np.array([0, 0]), np.array([0, 1]), np.array([2, 3]))
+    assert g.degrees().tolist() == [7, 3] and g.edge_total == 5
     a = g.adjacency()
     assert a[0, 1] == 3 and a[0, 0] == 4
     s = g.adjacency(single=True)
@@ -266,8 +283,7 @@ def test_single_never_exceeds_multigraph_entrywise():
 
 
 def test_scaled_adjacency_single_edge():
-    g = Multigraph(2, np.array([0]), np.array([1]), np.array([1]),
-                   np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    g = Multigraph(2, np.array([0]), np.array([1]), np.array([1]))
     m = scaled_adjacency(g, omega=4.0)
     assert m[0, 1] == 0.5
 
@@ -288,9 +304,7 @@ def test_pair_functions_reject_bad_input(pair_function):
 
 def test_trace_identity_exact_on_simple_loopless_graph():
     # path on 4 vertices: multiplicities all 1, no loops
-    g = Multigraph(4, np.array([0, 1, 2]), np.array([1, 2, 3]),
-                   np.array([1, 1, 1]), np.empty(0, dtype=np.int64),
-                   np.empty(0, dtype=np.int64))
+    g = Multigraph(4, np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([1, 1, 1]))
     seq = g.degree_sequence()
     ahat = scaled_adjacency(g, seq.omega)
     assert math.isclose(np.trace(ahat @ ahat) / g.n, 1.0, rel_tol=1e-12)
@@ -299,7 +313,7 @@ def test_trace_identity_exact_on_simple_loopless_graph():
 def test_trace_identity_near_one_for_sampled_multigraph():
     # multi-edges and loops push (1/n)tr(Ahat^2) slightly above 1
     n = 2000
-    seq = DegreeSequence.from_degrees([45] * n)
+    seq = DegreeSequence([45] * n)
     g = sample_configuration(seq, seed=8)
     ahat = scaled_adjacency(g, seq.omega)
     val = float(np.einsum("ij,ji->", ahat, ahat)) / n
@@ -309,7 +323,7 @@ def test_trace_identity_near_one_for_sampled_multigraph():
 def test_single_adjacency_discrepancy_small_at_scale():
     # (1/n) tr((Ahat - Ahat_single)^2) below 0.05 at n=2000, omega=sqrt(n)
     n = 2000
-    seq = DegreeSequence.from_degrees([45] * n)
+    seq = DegreeSequence([45] * n)
     g = sample_configuration(seq, seed=3)
     diff = g.adjacency() - g.adjacency(single=True)
     val = float(np.einsum("ij,ji->", diff, diff)) / (n * seq.omega)
@@ -334,17 +348,29 @@ def test_edge_list_blocks_match_a_per_row_reference(tmp_path):
     ii = np.concatenate([rng.integers(0, n, 30_000), np.arange(0, n, 3)])
     jj = np.concatenate([rng.integers(0, n, 30_000), np.arange(0, n, 3)])
     g = Multigraph.from_instances(n, ii, jj)
-    assert g.mult.size > 2 * _BLOCK_ROWS and g.loop_vertex.size > 1000
+    rows = list(zip(g.edges_i, g.edges_j, g.mult))
+    loops = sum(i == j for i, j, _ in rows)
+    assert len(rows) - loops > 2 * _BLOCK_ROWS and loops > 1000
     path = tmp_path / "edges.txt"
     g.save_edges(path, metadata={"seed": 7, "n": n})
-    reference = f"# n={n}\n# n={n}\n# seed=7\n" + "".join(
-        f"{i} {j} {m}\n" for i, j, m in zip(g.edges_i, g.edges_j, g.mult)
-    ) + "".join(f"{v} {v} {c}\n" for v, c in zip(g.loop_vertex, g.loop_count))
+    # n is written once, in sorted order; pair rows first, loop rows after
+    reference = f"# n={n}\n# seed=7\n" + "".join(
+        f"{i} {j} {m}\n" for i, j, m in rows if i != j
+    ) + "".join(f"{i} {j} {m}\n" for i, j, m in rows if i == j)
     assert path.read_text() == reference
     again = Multigraph.load_edges(path)
     assert again.n == n
-    for name in ("edges_i", "edges_j", "mult", "loop_vertex", "loop_count"):
+    for name in ("edges_i", "edges_j", "mult"):
         assert np.array_equal(getattr(again, name), getattr(g, name))
+
+
+def test_edge_list_and_instances_reject_a_vertex_outside_n(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("# n=3\n0 5 1\n")
+    with pytest.raises(ValueError, match="vertex id 5 outside"):
+        Multigraph.load_edges(path)
+    with pytest.raises(ValueError, match="vertex id 5 outside"):
+        Multigraph.from_instances(3, [0], [5])
 
 
 def test_seed_repetition_is_byte_identical(tmp_path):

@@ -23,8 +23,7 @@ from sparsespectra import (
 
 def path_graph(n):
     i = np.arange(n - 1)
-    return Multigraph(n, i, i + 1, np.ones(n - 1, dtype=np.int64),
-                      np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    return Multigraph(n, i, i + 1, np.ones(n - 1, dtype=np.int64))
 
 
 def test_path_three_eigenvalues():
@@ -33,8 +32,7 @@ def test_path_three_eigenvalues():
 
 
 def test_single_edge_with_isolated_vertex():
-    g = Multigraph(3, np.array([0]), np.array([1]), np.array([1]),
-                   np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    g = Multigraph(3, np.array([0]), np.array([1]), np.array([1]))
     eigs = eigenvalues_symmetric(g.adjacency())
     assert np.allclose(eigs, [1.0, 0.0, -1.0], atol=1e-12)
 
@@ -93,7 +91,7 @@ def test_esd_second_moment_exact_on_simple_graph():
 
 def test_esd_second_moment_near_one_for_sampled_graph():
     # loops and multi-edges perturb the identity; stays within 5% at this size
-    seq = DegreeSequence.from_degrees([12] * 400)
+    seq = DegreeSequence([12] * 400)
     g = sample_configuration(seq, seed=1)
     eigs = eigenvalues_symmetric(scaled_adjacency(g, seq.omega))
     second = float((eigs ** 2).sum()) / g.n
