@@ -26,13 +26,11 @@ from .graphs import (
 from .limit_law import (
     ConvergenceError,
     DensityCurve,
-    StieltjesSolution,
     density_curve,
     density_mp,
     density_mu,
     quantize_measure,
     solve_g,
-    solve_real_line,
     stieltjes_mu,
     symmetric_grid,
 )
@@ -44,7 +42,6 @@ from .measures import (
     wasserstein1,
 )
 from .spectrum import (
-    esd,
     eigenvalues_symmetric,
     eigenvalues_symmetric_pair,
     freedman_diaconis_histogram,
@@ -57,12 +54,10 @@ from .support import (
     TwoAtomLaw,
     phase_diagram,
     support_mp,
-    support_mu,
     two_atom_discriminant,
     two_atom_has_hole,
     two_atom_threshold,
     xi,
-    xi_prime,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +71,6 @@ __all__ = [
     "DiscreteMeasure",
     "Multigraph",
     "OnePlusExponential",
-    "StieltjesSolution",
     "SupportIntervals",
     "TwoAtomLaw",
     "UniformLaw",
@@ -88,7 +82,6 @@ __all__ = [
     "density_mu",
     "eigenvalues_symmetric",
     "eigenvalues_symmetric_pair",
-    "esd",
     "extend_configuration",
     "freedman_diaconis_histogram",
     "kolmogorov_distance",
@@ -103,10 +96,8 @@ __all__ = [
     "scaled_adjacency_pair",
     "size_bias",
     "solve_g",
-    "solve_real_line",
     "stieltjes_mu",
     "support_mp",
-    "support_mu",
     "symmetric_grid",
     "trace_distance_bound",
     "two_atom_discriminant",
@@ -116,5 +107,4 @@ __all__ = [
     "write_histogram_csv",
     "write_spectrum_csv",
     "xi",
-    "xi_prime",
 ]

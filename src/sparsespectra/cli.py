@@ -43,7 +43,7 @@ from .limit_law import (DEFAULT_ETA, DEFAULT_QUANTIZE, DEFAULT_TOL, ConvergenceE
 from .measures import DiscreteMeasure, kolmogorov_distance, kolmogorov_vs_cdf, wasserstein1
 from .spectrum import (eigenvalues_symmetric, eigenvalues_symmetric_pair, write_histogram_csv,
                        write_spectrum_csv)
-from .support import DEFAULT_MIN_GAP, TwoAtomLaw, _xi_and_slope, phase_diagram, support_mp
+from .support import DEFAULT_MIN_GAP, TwoAtomLaw, phase_diagram, support_mp, xi
 from .tables import write_table
 
 __all__ = ["main"]
@@ -61,12 +61,16 @@ def parse_measure_spec(text: str):
     if os.path.exists(text):
         pairs = []
         with open(text) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                loc, wt = line.replace(",", " ").split()
-                pairs.append((float(loc), float(wt)))
+                try:
+                    loc, wt = line.replace(",", " ").split()
+                    pairs.append((float(loc), float(wt)))
+                except ValueError:
+                    raise ValueError(f"{text} line {lineno}: expected 'location weight', "
+                                     f"got {line!r}") from None
         return DiscreteMeasure.from_pairs(pairs)
     head, _, tail = text.partition(":")
     head = head.strip().lower()
@@ -75,8 +79,11 @@ def parse_measure_spec(text: str):
     if head == "atoms":
         pairs = []
         for item in tail.split(","):
-            loc, wt = item.split("=")
-            pairs.append((float(loc), float(wt)))
+            try:
+                loc, wt = item.split("=")
+                pairs.append((float(loc), float(wt)))
+            except ValueError:
+                raise ValueError(f"atoms item {item!r}: expected LOCATION=WEIGHT") from None
         return DiscreteMeasure.from_pairs(pairs)
     if head == "two-atom":
         kw = dict(item.split("=") for item in tail.split(","))
@@ -255,7 +262,7 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
     vs = lo[:, None] + (hi - lo)[:, None] * np.linspace(1e-4, 1.0 - 1e-4, points_per_gap)
     step = max(1, _XI_TRACE_CELLS // (points_per_gap * len(poles)))
     blocks = [vs[k:k + step] for k in range(0, len(vs), step)]
-    pairs = [_xi_and_slope(block, nu) for block in blocks]
+    pairs = [xi(block, nu) for block in blocks]
     xis = np.concatenate([vals for vals, _ in pairs])
     slopes = np.concatenate([slopes for _, slopes in pairs])
     gaps = np.repeat(np.arange(len(vs)), points_per_gap)

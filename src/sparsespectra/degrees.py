@@ -25,7 +25,6 @@ __all__ = [
     "build_degree_sequence",
     "build_grouped_degrees",
     "degree_esd",
-    "largest_remainder_counts",
 ]
 
 
@@ -67,7 +66,7 @@ class DegreeSequence:
         return cls(degs)
 
 
-def largest_remainder_counts(n: int, weights) -> np.ndarray:
+def _largest_remainder_counts(n: int, weights) -> np.ndarray:
     """Apportion n items to categories in proportion to weights.
 
     Floors the exact quotas, then hands the leftover items to the largest
@@ -121,7 +120,7 @@ def build_degree_sequence(
         if not law.nonnegative():
             raise ValueError("degree weights must be nonnegative")
         locs, wts = law.as_arrays()
-        weights_per_vertex = np.repeat(locs, largest_remainder_counts(n, wts))
+        weights_per_vertex = np.repeat(locs, _largest_remainder_counts(n, wts))
     else:
         weights_per_vertex = law.sample(np.random.default_rng(seed), n)
     degrees = np.floor(omega_target * weights_per_vertex).astype(np.int64)

@@ -29,10 +29,8 @@ from .tables import write_table
 
 __all__ = [
     "ConvergenceError",
-    "StieltjesSolution",
     "DensityCurve",
     "solve_g",
-    "solve_real_line",
     "stieltjes_mu",
     "density_mp",
     "density_mu",
@@ -54,17 +52,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, best_residual: float | None = None):
         super().__init__(message)
         self.best_residual = best_residual
-
-
-@dataclass(frozen=True)
-class StieltjesSolution:
-    """One converged fixed-point solve at a point z in the upper half-plane."""
-
-    z: complex
-    g: complex
-    h: complex
-    residual: float
-    iterations: int
 
 
 def _check_weight_law(nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +165,10 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int, to_z=
         raise ValueError(f"tol must lie in (0, inf) (got {tol!r})")
     locs, wts = _check_weight_law(nu)
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"x must be a float or a 1-D array (got {xs.ndim} dimensions)")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"x must be finite (got {float(xs[~np.isfinite(xs)][0])!r})")
     etas = _eta_schedule(eta)
     g = 1j * np.minimum(1.0, 1.0 / to_z(xs + 1j * etas[0]).imag)
     total_it = 0
@@ -187,7 +178,7 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int, to_z=
         budget = max_iter - total_it if final else min(2000, max_iter - total_it)
         g, res, it = _iterate_many(z, locs, wts, g, tol if final else max(tol, 1e-11), budget)
         total_it += it
-    bad = res > tol
+    bad = ~(res <= tol)  # a NaN residual fails too
     if np.any(bad):
         worst = int(np.argmax(res))
         raise ConvergenceError(
@@ -199,43 +190,26 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int, to_z=
 
 
 def solve_g(
-    z: complex,
+    x,
     nu: DiscreteMeasure,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> StieltjesSolution:
-    """Solve the upper-half-plane fixed point at a single z (Im z > 0).
-
-    One lane of the continuation solve with eta = Im z, started from
-    i·min(1, 1/Im z) (a single stage when Im z ≥ 1). Raises
-    :class:`ConvergenceError` (carrying the best residual) if it does not
-    reach `tol` within `max_iter` iterations.
-    """
-    z = complex(z)
-    if not z.imag > 0:
-        raise ValueError("need Im z > 0")
-    _, g, res, iterations = _solve(nu, [z.real], z.imag, tol, max_iter)
-    gval = complex(g[0])
-    return StieltjesSolution(z=z, g=gval, h=gval / z, residual=float(res[0]), iterations=iterations)
-
-
-def solve_real_line(
-    nu: DiscreteMeasure,
-    xs,
     eta: float = DEFAULT_ETA,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
-    """Continuation solve at z = x + i·eta for every x in xs (vectorized).
+    """Fixed point g at z = x + i·eta for a float x or every x of a 1-D array.
 
-    Returns (z, g, h, residual, iterations); h = g/z. Raises
-    :class:`ConvergenceError` naming the failing points if any lane misses
-    `tol`.
+    Returns (g, residual, iterations): scalars for a float x, arrays
+    (iterations still one count) for an array; the square-law transform
+    is h = g/z. eta may be any value in (0, inf), and eta ≥ 1 is a single
+    continuation stage. Raises :class:`ConvergenceError` naming the
+    failing points if any lane misses `tol`.
     """
-    if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
-    z, g, res, total_it = _solve(nu, xs, eta, tol, max_iter)
-    return z, g, g / z, res, total_it
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must lie in (0, inf) (got {eta!r})")
+    _, g, res, iterations = _solve(nu, np.atleast_1d(x), eta, tol, max_iter)
+    if np.ndim(x) == 0:
+        return complex(g[0]), float(res[0]), iterations
+    return g, res, iterations
 
 
 def stieltjes_mu(
@@ -244,9 +218,10 @@ def stieltjes_mu(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> complex:
-    """Cauchy transform f(z) = -(1 + g(z)²)/z of the limit measure."""
-    sol = solve_g(z, nu, tol=tol, max_iter=max_iter)
-    return -(1.0 + sol.g * sol.g) / sol.z
+    """Cauchy transform f(z) = -(1 + g(z)²)/z of the limit measure (Im z > 0)."""
+    z = complex(z)
+    g, _, _ = solve_g(z.real, nu, z.imag, tol=tol, max_iter=max_iter)
+    return -(1.0 + g * g) / z
 
 
 def density_mp(

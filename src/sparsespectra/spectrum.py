@@ -1,4 +1,4 @@
-"""Eigenvalues and empirical spectral distributions of symmetric matrices.
+"""Eigenvalues, histograms and trace-distance bounds of symmetric matrices.
 
 Every solve reads only the lower triangle and diagonal of its matrix, so
 a matrix may share its strict upper triangle with another one (see
@@ -14,13 +14,11 @@ import threading
 
 import numpy as np
 
-from .measures import DiscreteMeasure
 from .tables import write_table
 
 __all__ = [
     "eigenvalues_symmetric",
     "eigenvalues_symmetric_pair",
-    "esd",
     "trace_distance_bound",
     "freedman_diaconis_histogram",
     "write_spectrum_csv",
@@ -69,18 +67,6 @@ def eigenvalues_symmetric_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _eigenvalues_descending(a) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(a, dtype=float))[::-1]
-
-
-def esd(eigenvalues_or_matrix) -> DiscreteMeasure:
-    """Uniform probability measure on the eigenvalues (weight 1/n each).
-
-    A 2-d input is a symmetric matrix and is diagonalized first.
-    """
-    if np.ndim(eigenvalues_or_matrix) == 2:
-        eigs = eigenvalues_symmetric(eigenvalues_or_matrix)
-    else:
-        eigs = np.asarray(eigenvalues_or_matrix, dtype=float)
-    return DiscreteMeasure.from_samples(eigs)
 
 
 def trace_distance_bound(a, b) -> float:

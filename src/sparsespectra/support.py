@@ -36,9 +36,7 @@ __all__ = [
     "SupportIntervals",
     "TwoAtomLaw",
     "xi",
-    "xi_prime",
     "support_mp",
-    "support_mu",
     "two_atom_discriminant",
     "two_atom_has_hole",
     "two_atom_threshold",
@@ -108,8 +106,12 @@ def _positive_atoms(nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     return locs[keep], wts[keep]
 
 
-def _xi_and_slope(v, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """xi(v) and xi'(v) from one sweep den = 1 + v⊗d; rejects v at a pole."""
+def xi(v, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """xi(v) = −1/v + Σ w·d²/(1+v·d) and xi′(v) = 1/v² − Σ w·d³/(1+v·d)².
+
+    Both come from one sweep den = 1 + v⊗d, for a float v or an array;
+    rejects v at a pole (0 or any −1/d).
+    """
     locs, wts = _positive_atoms(nu)
     v_arr = np.asarray(v, dtype=float)
     den = 1.0 + np.multiply.outer(v_arr, locs)
@@ -118,18 +120,6 @@ def _xi_and_slope(v, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     vals = -1.0 / v_arr + ((wts * locs**2) / den).sum(axis=-1)
     slopes = 1.0 / v_arr**2 - ((wts * locs**3) / den**2).sum(axis=-1)
     return vals, slopes
-
-
-def xi(v, nu: DiscreteMeasure):
-    """-1/v + Σ w·d²/(1+v·d); rejects v at a pole (0 or any -1/d)."""
-    vals, _ = _xi_and_slope(v, nu)
-    return float(vals) if np.isscalar(v) else vals
-
-
-def xi_prime(v, nu: DiscreteMeasure):
-    """Derivative of xi: 1/v² − Σ w·d³/(1+v·d)²."""
-    _, slopes = _xi_and_slope(v, nu)
-    return float(slopes) if np.isscalar(v) else slopes
 
 
 def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -146,11 +136,7 @@ def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def support_mp(
-    nu: DiscreteMeasure,
-    min_gap: float = DEFAULT_MIN_GAP,
-    x_cap: float | None = None,
-) -> SupportIntervals:
+def support_mp(nu: DiscreteMeasure, min_gap: float = DEFAULT_MIN_GAP) -> SupportIntervals:
     """Support of the square law on [0, ∞) from the convexity of φ.
 
     In u = 1/v the inverse transform is X(u) = −u + E[D²] − Σ w·d³/(u+d)
@@ -181,8 +167,6 @@ def support_mp(
     locs, wts = _positive_atoms(nu)
     cubes = wts * locs**3
     m2 = float((wts * locs**2).sum())
-    if x_cap is None:
-        x_cap = 4.0 * float(locs.max()) * (m2 + 1.0)
 
     def phi(u: np.ndarray) -> np.ndarray:
         return (cubes / (u[:, None] + locs) ** 2).sum(axis=1)
@@ -230,32 +214,20 @@ def support_mp(
         else:
             merged_holes.append([lo_h, hi_h])
     # holes narrower than this cannot be told from endpoint rounding,
-    # whatever min_gap asks for
-    width_floor = max(min_gap, _HOLE_TOL * max(1.0, x_cap))
+    # whatever min_gap asks for; 4·max(d)·(E[D²] + 1) sets the scale
+    width_floor = max(min_gap, _HOLE_TOL * max(1.0, 4.0 * float(locs.max()) * (m2 + 1.0)))
     filtered = [
         (a, b) for a, b in merged_holes if math.isinf(b) or (b - a) >= width_floor
     ]
 
+    # the last hole is (·, ∞), so the support ends where it begins
     support: list[tuple[float, float]] = []
     cursor = 0.0
     for a, b in filtered:
         if a >= cursor:
             support.append((cursor, a))
         cursor = b
-        if cursor >= x_cap:
-            break
-    if cursor < x_cap:
-        support.append((cursor, x_cap))
     return SupportIntervals(tuple(support))
-
-
-def support_mu(
-    nu: DiscreteMeasure,
-    min_gap: float = DEFAULT_MIN_GAP,
-    x_cap: float | None = None,
-) -> SupportIntervals:
-    """Support of the symmetric limit law: ±√ image of the square-law support."""
-    return support_mp(nu, min_gap=min_gap, x_cap=x_cap).symmetric_image()
 
 
 # -- two-atom closed forms --------------------------------------------------
@@ -273,8 +245,9 @@ class TwoAtomLaw:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 1.0 > self.beta > 0.0):
-            raise ValueError("need alpha > 1 > beta > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 1.0 > self.beta > 0.0):
+            raise ValueError(f"need finite alpha > 1 > beta > 0 "
+                             f"(got alpha={self.alpha!r}, beta={self.beta!r})")
 
     @property
     def q_o(self) -> float:

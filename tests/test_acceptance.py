@@ -20,22 +20,19 @@ from sparsespectra import (
     build_degree_sequence,
     density_curve,
     eigenvalues_symmetric,
-    esd,
     kolmogorov_distance,
     kolmogorov_vs_cdf,
     quantize_measure,
     sample_configuration,
     sample_poissonized,
     scaled_adjacency,
-    solve_real_line,
+    solve_g,
     stieltjes_mu,
     support_mp,
-    support_mu,
     two_atom_discriminant,
     two_atom_has_hole,
     two_atom_threshold,
     xi,
-    xi_prime,
 )
 
 from oracles import cauchy_transform_quadrature, semicircle_density
@@ -60,7 +57,7 @@ def bound_suite_measures():
 
 
 def top_edge(nu):
-    return support_mu(nu).intervals[-1][1]
+    return support_mp(nu).symmetric_image().intervals[-1][1]
 
 
 def sampled_eigenvalues(nu, n, seed):
@@ -89,14 +86,15 @@ def test_criterion_01_semicircle_density_recovery():
 
 
 def test_criterion_02_unit_mass_support_endpoints():
-    sup = support_mu(DELTA_ONE)
+    sup = support_mp(DELTA_ONE).symmetric_image()
     assert len(sup.intervals) == 1
     lo, hi = sup.intervals[0]
     assert abs(lo + 2.0) <= 1e-8
     assert abs(hi - 2.0) <= 1e-8
     # the stationary point that produces those endpoints, in closed form
-    assert xi(-0.5, DELTA_ONE) == pytest.approx(4.0, abs=1e-12)
-    assert xi_prime(-0.5, DELTA_ONE) == pytest.approx(0.0, abs=1e-12)
+    value, slope = xi(-0.5, DELTA_ONE)
+    assert value == pytest.approx(4.0, abs=1e-12)
+    assert slope == pytest.approx(0.0, abs=1e-12)
     print(
         f"PASS criterion 2: scanned support [{lo:.10f}, {hi:.10f}] hits "
         f"[-2, 2] within 1e-8, with xi(-1/2) = 4 and xi'(-1/2) = 0"
@@ -145,7 +143,8 @@ def test_criterion_04_transform_bound_suite():
         curve = density_curve(nu, x_max=x_max, points=400, eta=1e-6, tol=1e-10)
         xs = np.asarray(curve.grid)  # even count: 0 is never a grid point
         rho = np.asarray(curve.rho)
-        _, g, h, _, _ = solve_real_line(nu, xs, eta=1e-6, tol=1e-10)
+        g, _, _ = solve_g(xs, nu, eta=1e-6, tol=1e-10)
+        h = g / (xs + 1e-6j)
         cap = np.minimum(1.0, 2.0 / np.abs(xs))
         margins = {
             "|g|": np.abs(g) - cap,
@@ -219,7 +218,7 @@ def test_criterion_06_sampled_esd_converges_to_limit():
 def test_criterion_07_disconnected_support_gap_mass():
     square = support_mp(THREE_ATOM, min_gap=1e-3)
     assert len(square.intervals) >= 2
-    gaps = support_mu(THREE_ATOM, min_gap=1e-3).gaps()
+    gaps = square.symmetric_image().gaps()
     assert gaps
     eigs = sampled_eigenvalues(THREE_ATOM, 1000, seed=0)
     in_gap = np.zeros(eigs.shape, dtype=bool)
@@ -244,8 +243,10 @@ def test_criterion_08_poissonized_coupling_distance():
         for s in range(5):
             matched = sample_configuration(seq, seed=10 * s + 1)
             poisson = sample_poissonized(seq, seed=10 * s + 2)
-            law_m = esd(eigenvalues_symmetric(scaled_adjacency(matched, seq.omega)))
-            law_p = esd(eigenvalues_symmetric(scaled_adjacency(poisson, seq.omega)))
+            law_m = DiscreteMeasure.from_samples(
+                eigenvalues_symmetric(scaled_adjacency(matched, seq.omega)))
+            law_p = DiscreteMeasure.from_samples(
+                eigenvalues_symmetric(scaled_adjacency(poisson, seq.omega)))
             pairs.append(kolmogorov_distance(law_m, law_p))
         distances[n] = pairs
     assert all(d < 0.08 for d in distances[2000])

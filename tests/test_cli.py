@@ -17,7 +17,6 @@ from sparsespectra import (
     scaled_adjacency,
     trace_distance_bound,
     xi,
-    xi_prime,
 )
 from sparsespectra import cli
 from sparsespectra.cli import main, parse_measure_spec
@@ -78,6 +77,16 @@ def test_spec_file(tmp_path):
     assert m.weights == (0.25, 0.75)
 
 
+def test_spec_errors_name_the_offending_item(tmp_path):
+    f = tmp_path / "law.txt"
+    f.write_text("# comment\n0.5 0.5\n2.0\n")
+    with pytest.raises(ValueError) as info:
+        parse_measure_spec(str(f))
+    assert str(info.value) == f"{f} line 3: expected 'location weight', got '2.0'"
+    with pytest.raises(ValueError, match="atoms item '2.0': expected LOCATION=WEIGHT"):
+        parse_measure_spec("atoms:0.5=0.5,2.0")
+
+
 def test_spec_rejects_unknown_family():
     with pytest.raises(ValueError):
         parse_measure_spec("zipf:s=2")
@@ -99,6 +108,13 @@ def test_two_atom_with_an_unknown_key_returns_error_code(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "unknown parameters ['gamma'] for two-atom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_two_atom_non_finite_alpha_returns_error_code(tmp_path, capsys, alpha):
+    rc = main(["support", "--measure", f"two-atom:alpha={alpha},beta=0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"(got alpha={float(alpha)!r}, beta=0.5)" in capsys.readouterr().err
 
 
 # -- sample ------------------------------------------------------------------
@@ -339,8 +355,7 @@ def test_support_quantized_family_trace_and_mirror(tmp_path):
     assert len(trace) == 17 * 400
     assert {r[0] for r in trace} == {str(k) for k in range(17)}
     for _, v, x, slope in trace:
-        assert float(x) == xi(float(v), nu)
-        assert float(slope) == xi_prime(float(v), nu)
+        assert (float(x), float(slope)) == xi(float(v), nu)
     _, sq = read_rows(tmp_path / "support_square_law.csv", "left,right")
     _, sym = read_rows(tmp_path / "support_symmetric.csv", "left,right")
     sym = [(float(a), float(b)) for a, b in sym]
@@ -359,8 +374,7 @@ def test_support_trace_keeps_a_row_budget(tmp_path):
     assert len(trace) <= 20_000
     assert {r[0] for r in trace} == {str(k) for k in range(257)}
     for _, v, x, slope in trace:
-        assert float(x) == xi(float(v), nu)
-        assert float(slope) == xi_prime(float(v), nu)
+        assert (float(x), float(slope)) == xi(float(v), nu)
 
 
 def test_support_trace_keeps_one_point_per_gap_past_the_budget(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from sparsespectra import (
     density_mu,
     quantize_measure,
     solve_g,
-    solve_real_line,
     stieltjes_mu,
     support_mp,
     symmetric_grid,
@@ -34,30 +33,28 @@ THREE_ATOM = DiscreteMeasure.from_pairs([(0.5, 0.5), (1.4, 0.45), (2.4, 0.05)])
 
 
 def test_value_at_i_for_unit_weights():
-    sol = solve_g(1j, DELTA_ONE)
-    assert abs(sol.g - 1j * (math.sqrt(5) - 1) / 2) < 1e-10
-    assert sol.residual <= 1e-10
+    g, residual, _ = solve_g(0.0, DELTA_ONE, 1.0)
+    assert abs(g - 1j * (math.sqrt(5) - 1) / 2) < 1e-10
+    assert residual <= 1e-10
 
 
 def test_value_near_real_axis_for_unit_weights():
-    z = 3 + 0.001j
-    sol = solve_g(z, DELTA_ONE)
-    assert abs(sol.g - semicircle_g(z)) < 1e-9
+    g, _, _ = solve_g(3.0, DELTA_ONE, 0.001)
+    assert abs(g - semicircle_g(3 + 0.001j)) < 1e-9
 
 
 def test_agreement_with_semicircle_transform_on_a_grid():
     for x in np.linspace(-4.0, 4.0, 20):
-        z = complex(x, 0.7)
-        sol = solve_g(z, DELTA_ONE)
-        assert abs(sol.g - semicircle_g(z)) < 1e-10
-        assert sol.g.imag > 0
+        g, _, _ = solve_g(float(x), DELTA_ONE, 0.7)
+        assert abs(g - semicircle_g(complex(x, 0.7))) < 1e-10
+        assert g.imag > 0
 
 
 def test_large_argument_asymptotics():
     for x in (0.0, 5.0, -3.0):
         z = complex(x, 1e6)
         for nu in (DELTA_ONE, TWO_ATOM, THREE_ATOM):
-            g = solve_g(z, nu).g
+            g, _, _ = solve_g(z.real, nu, z.imag)
             f = stieltjes_mu(z, nu)
             assert abs(g + 1 / z) <= 10 / abs(z) ** 2
             assert abs(f + 1 / z) <= 10 / abs(z) ** 3
@@ -65,19 +62,21 @@ def test_large_argument_asymptotics():
 
 def test_rejects_lower_half_plane_and_real_axis():
     with pytest.raises(ValueError):
-        solve_g(1.0 + 0j, DELTA_ONE)
+        solve_g(1.0, DELTA_ONE, 0.0)
     with pytest.raises(ValueError):
-        solve_g(-1j, DELTA_ONE)
+        solve_g(0.0, DELTA_ONE, -1.0)
+    with pytest.raises(ValueError):
+        stieltjes_mu(1.0 + 0j, DELTA_ONE)
 
 
 def test_rejects_weight_law_with_wrong_mean():
     with pytest.raises(ValueError):
-        solve_g(1j, DiscreteMeasure.from_pairs([(2.0, 1.0)]))
+        solve_g(0.0, DiscreteMeasure.from_pairs([(2.0, 1.0)]), 1.0)
 
 
 def test_convergence_error_carries_best_residual():
     with pytest.raises(ConvergenceError) as info:
-        solve_g(0.5 + 1e-9j, THREE_ATOM, max_iter=3)
+        solve_g(0.5, THREE_ATOM, 1e-9, max_iter=3)
     assert info.value.best_residual is not None
     assert info.value.best_residual > 0
 
@@ -86,12 +85,12 @@ CURVE_NODES = [*symmetric_grid(2.0, 21)[11:], 0.01, 0.02]
 
 
 @pytest.mark.parametrize("call, xs", [
-    (lambda: solve_g(complex(0.5, 1e-6), THREE_ATOM, max_iter=3), [0.5]),
-    (lambda: solve_real_line(THREE_ATOM, [0.25, 0.5], eta=1e-6, max_iter=3), [0.25, 0.5]),
+    (lambda: solve_g(0.5, THREE_ATOM, 1e-6, max_iter=3), [0.5]),
+    (lambda: solve_g(np.array([0.25, 0.5]), THREE_ATOM, 1e-6, max_iter=3), [0.25, 0.5]),
     (lambda: density_mp(0.5, THREE_ATOM, eta=1e-6, max_iter=3), [0.5]),
     (lambda: density_mu(-0.5, THREE_ATOM, eta=1e-6, max_iter=3), [0.5]),
     (lambda: density_curve(THREE_ATOM, x_max=2.0, points=21, eta=1e-6, max_iter=3), CURVE_NODES),
-], ids=["solve_g", "solve_real_line", "density_mp", "density_mu", "density_curve"])
+], ids=["solve_g", "solve_g_array", "density_mp", "density_mu", "density_curve"])
 def test_every_entry_point_fails_through_the_one_continuation(call, xs):
     # max_iter bounds the whole continuation, so 3 iterations cannot reach eta
     with pytest.raises(ConvergenceError) as info:
@@ -101,13 +100,6 @@ def test_every_entry_point_fails_through_the_one_continuation(call, xs):
     assert f"residual {info.value.best_residual:.3e} " in message
     assert "eta=1e-06" in message
     assert any(f"x={float(x)!r}," in message for x in xs)
-
-
-def test_point_solve_is_a_lane_of_the_real_line_solve():
-    for nu in (DELTA_ONE, THREE_ATOM):
-        for x, eta in ((0.3, 1e-6), (-1.7, 0.01), (2.2, 0.5), (0.0, 1e-4)):
-            _, g, _, _, _ = solve_real_line(nu, [x], eta)
-            assert solve_g(complex(x, eta), nu).g == complex(g[0])
 
 
 # -- the continuation's schedule and sweep -------------------------------------------
@@ -180,7 +172,7 @@ def test_transform_equals_g_for_unit_weights():
     # with a single unit atom the two transforms coincide identically
     for x in np.linspace(-3.0, 3.0, 20):
         z = complex(x, 1.0)
-        assert abs(stieltjes_mu(z, DELTA_ONE) - solve_g(z, DELTA_ONE).g) < 1e-9
+        assert abs(stieltjes_mu(z, DELTA_ONE) - solve_g(float(x), DELTA_ONE, 1.0)[0]) < 1e-9
 
 
 def test_transform_odd_reflection_symmetry():
@@ -211,7 +203,7 @@ def test_square_law_transform_cross_check():
             wts = np.array(nu.weights)
             h_ref = solve_h_reference(w, locs, wts)
             z = np.sqrt(complex(w))
-            h_via_g = solve_g(z, nu).g / z
+            h_via_g = solve_g(z.real, nu, z.imag)[0] / z
             assert abs(h_ref - h_via_g) < 1e-8
 
 
@@ -220,11 +212,11 @@ def test_square_law_transform_cross_check():
 
 def test_real_line_matches_pointwise_solves():
     xs = np.linspace(-2.0, 2.0, 9)
-    z, g, h, res, _ = solve_real_line(THREE_ATOM, xs, eta=0.5)
+    g, res, _ = solve_g(xs, THREE_ATOM, eta=0.5)
     for k, x in enumerate(xs):
-        sol = solve_g(complex(x, 0.5), THREE_ATOM)
-        assert abs(g[k] - sol.g) < 1e-9
-        assert abs(h[k] - sol.g / sol.z) < 1e-9
+        g_k, res_k, _ = solve_g(float(x), THREE_ATOM, eta=0.5)
+        assert abs(g[k] - g_k) < 1e-9
+        assert res_k <= 1e-10
     assert np.all(res <= 1e-10)
     assert np.all(g.imag > 0)
 
@@ -232,7 +224,8 @@ def test_real_line_matches_pointwise_solves():
 def test_real_line_solution_invariants():
     xs = np.linspace(0.05, 3.5, 400)
     for nu in (DELTA_ONE, TWO_ATOM, THREE_ATOM):
-        z, g, h, res, _ = solve_real_line(nu, xs)
+        g, res, _ = solve_g(xs, nu)
+        h = g / (xs + 1j * limit_law.DEFAULT_ETA)
         assert np.all(res <= 1e-10)
         assert np.all(g.imag > 0)
         # square-law transform has negative real part at positive arguments
@@ -240,8 +233,9 @@ def test_real_line_solution_invariants():
 
 
 def test_real_line_rejects_bad_eta():
-    with pytest.raises(ValueError):
-        solve_real_line(DELTA_ONE, [1.0], eta=0.0)
+    for eta in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            solve_g(np.array([1.0]), DELTA_ONE, eta=eta)
 
 
 @pytest.mark.parametrize("eta", [0.0, -1e-6, 2.0])
@@ -255,8 +249,8 @@ def test_densities_reject_bad_eta(eta):
 
 
 TOL_ENTRY_POINTS = {
-    "solve_g": lambda tol: solve_g(1j, DELTA_ONE, tol=tol),
-    "solve_real_line": lambda tol: solve_real_line(DELTA_ONE, [1.0], tol=tol),
+    "solve_g": lambda tol: solve_g(0.0, DELTA_ONE, 1.0, tol=tol),
+    "solve_g_array": lambda tol: solve_g(np.array([1.0]), DELTA_ONE, tol=tol),
     "density_mp": lambda tol: density_mp(0.5, DELTA_ONE, tol=tol),
     "density_mu": lambda tol: density_mu(0.5, DELTA_ONE, tol=tol),
     "density_curve": lambda tol: density_curve(DELTA_ONE, x_max=2.0, points=21, tol=tol),
@@ -269,6 +263,40 @@ def test_entry_points_reject_bad_tol(entry, tol):
     # tol=nan stopped at once with garbage and tol=0 iterated to max_iter
     with pytest.raises(ValueError, match="tol"):
         TOL_ENTRY_POINTS[entry](tol)
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "solve_g": lambda x: solve_g(x, DELTA_ONE),
+    "solve_g_array": lambda x: solve_g(np.array([0.5, x]), DELTA_ONE),
+    "stieltjes_mu": lambda x: stieltjes_mu(complex(x, 1.0), DELTA_ONE),
+    "density_mp": lambda x: density_mp(x, DELTA_ONE),
+    "density_mu": lambda x: density_mu(x, DELTA_ONE),
+    "density_curve": lambda x: density_curve(DELTA_ONE, x_max=x, points=21),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_entry_points_reject_non_finite_x(entry, x):
+    # density_mp(nan) and density_mu(inf) used to return nan without an error
+    with pytest.raises(ValueError, match="finite") as info:
+        NON_FINITE_ENTRY_POINTS[entry](x)
+    assert f"(got {x!r})" in str(info.value) or f"(got {abs(x)!r})" in str(info.value)
+
+
+def test_nan_residual_fails_and_names_the_point(monkeypatch):
+    iterate = limit_law._iterate_many
+
+    def poisoned(z, *args):
+        g, res, iterations = iterate(z, *args)
+        res[z.real == 0.5] = math.nan
+        return g, res, iterations
+
+    monkeypatch.setattr(limit_law, "_iterate_many", poisoned)
+    with pytest.raises(ConvergenceError) as info:
+        solve_g(np.array([0.25, 0.5, 0.75]), THREE_ATOM)
+    assert math.isnan(info.value.best_residual)
+    assert "1 of 3 points failed (worst residual nan at x=0.5," in str(info.value)
 
 
 # -- densities ------------------------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 
 from sparsespectra import (
     DegreeSequence,
+    DiscreteMeasure,
     Multigraph,
     eigenvalues_symmetric,
     eigenvalues_symmetric_pair,
-    esd,
     freedman_diaconis_histogram,
     sample_configuration,
     scaled_adjacency,
@@ -69,13 +69,13 @@ def test_pair_raises_the_worker_solve_error():
 
 
 def test_esd_of_zero_matrix_is_point_mass_at_zero():
-    m = esd(np.zeros((6, 6)))
+    m = DiscreteMeasure.from_samples(eigenvalues_symmetric(np.zeros((6, 6))))
     assert m.locations == (0.0,)
     assert m.weights == (1.0,)
 
 
 def test_esd_accepts_raw_eigenvalues():
-    m = esd([1.0, 1.0, -1.0, 3.0])
+    m = DiscreteMeasure.from_samples([1.0, 1.0, -1.0, 3.0])
     assert m.locations == (-1.0, 1.0, 3.0)
     assert m.weights == (0.25, 0.5, 0.25)
 
@@ -131,7 +131,7 @@ def test_trace_bound_invariant_under_joint_permutation():
 
 
 def test_trace_bound_dominates_wasserstein():
-    # over random pairs, sqrt(tr((A-B)^2)/n) >= W1(esd(A), esd(B))
+    # over random pairs, sqrt(tr((A-B)^2)/n) >= W1 between the ESDs of A and B
     rng = np.random.default_rng(11)
     n = 50
     for _ in range(100):
@@ -140,7 +140,8 @@ def test_trace_bound_dominates_wasserstein():
         b = a + 0.3 * rng.normal() * np.eye(n) + 0.1 * np.diag(rng.normal(size=n))
         b = 0.5 * (b + b.T)
         bound = trace_distance_bound(a, b)
-        w1 = wasserstein1(esd(a), esd(b))
+        w1 = wasserstein1(DiscreteMeasure.from_samples(eigenvalues_symmetric(a)),
+                          DiscreteMeasure.from_samples(eigenvalues_symmetric(b)))
         assert bound >= w1 - 1e-12
 
 

@@ -16,12 +16,10 @@ from sparsespectra import (
     quantize_measure,
     solve_g,
     support_mp,
-    support_mu,
     two_atom_discriminant,
     two_atom_has_hole,
     two_atom_threshold,
     xi,
-    xi_prime,
 )
 
 from oracles import finite_difference, point_mass_square_edges
@@ -37,20 +35,20 @@ FILLED = TwoAtomLaw(alpha=3.0, beta=0.5)
 
 
 def test_xi_values_for_unit_weights():
-    assert xi(-0.5, DELTA_ONE) == pytest.approx(4.0, abs=1e-12)
-    assert xi(1.0, DELTA_ONE) == pytest.approx(-0.5, abs=1e-12)
+    assert xi(-0.5, DELTA_ONE)[0] == pytest.approx(4.0, abs=1e-12)
+    assert xi(1.0, DELTA_ONE)[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_xi_prime_values_for_unit_weights():
-    assert xi_prime(-0.5, DELTA_ONE) == pytest.approx(0.0, abs=1e-12)
-    assert xi_prime(-0.25, DELTA_ONE) == pytest.approx(16.0 - 16.0 / 9.0, abs=1e-12)
+    assert xi(-0.5, DELTA_ONE)[1] == pytest.approx(0.0, abs=1e-12)
+    assert xi(-0.25, DELTA_ONE)[1] == pytest.approx(16.0 - 16.0 / 9.0, abs=1e-12)
 
 
 def test_xi_rejects_poles():
     with pytest.raises(ValueError):
         xi(-1.0, DELTA_ONE)
     with pytest.raises(ValueError):
-        xi_prime(0.0, DELTA_ONE)
+        xi(0.0, DELTA_ONE)
     half = DiscreteMeasure.from_pairs([(0.5, 0.5), (1.5, 0.5)])
     with pytest.raises(ValueError):
         xi(-2.0, half)  # exactly at -1/0.5
@@ -64,15 +62,16 @@ def test_xi_prime_matches_finite_differences():
         v = rng.uniform(-6.0, 6.0)
         if min(abs(v - p) for p in poles) < 1e-2:
             continue
-        fd = finite_difference(lambda t: xi(t, THREE_ATOM), v, 1e-5)
-        assert abs(fd - xi_prime(v, THREE_ATOM)) <= 1e-6 * max(1.0, abs(fd))
+        fd = finite_difference(lambda t: xi(t, THREE_ATOM)[0], v, 1e-5)
+        assert abs(fd - xi(v, THREE_ATOM)[1]) <= 1e-6 * max(1.0, abs(fd))
         checked += 1
 
 
 def test_xi_vectorized_matches_scalar():
     vs = np.array([-0.5, -0.25, 0.3, 2.0])
-    vec = xi(vs, DELTA_ONE)
-    assert np.allclose(vec, [xi(float(v), DELTA_ONE) for v in vs], atol=1e-15)
+    vals, slopes = xi(vs, DELTA_ONE)
+    assert np.allclose(vals, [xi(float(v), DELTA_ONE)[0] for v in vs], atol=1e-15)
+    assert np.allclose(slopes, [xi(float(v), DELTA_ONE)[1] for v in vs], atol=1e-15)
 
 
 # -- square-law support ------------------------------------------------------------
@@ -221,10 +220,10 @@ def test_gap_midpoints_round_trip_through_the_criterion():
         for a, b in gaps:
             x = 0.5 * (a + b)
             z = np.sqrt(complex(x, 1e-8))
-            h = solve_g(z, nu).g / z
-            v = h.real
-            assert abs(xi(v, nu) - x) < 1e-5 * max(1.0, abs(x))
-            assert xi_prime(v, nu) > 0
+            h = solve_g(z.real, nu, z.imag)[0] / z
+            value, slope = xi(h.real, nu)
+            assert abs(value - x) < 1e-5 * max(1.0, abs(x))
+            assert slope > 0
 
 
 def test_density_vanishes_in_gaps_and_not_inside_components():
@@ -241,14 +240,14 @@ def test_density_vanishes_in_gaps_and_not_inside_components():
 
 
 def test_symmetric_support_of_unit_weights():
-    s = support_mu(DELTA_ONE)
+    s = support_mp(DELTA_ONE).symmetric_image()
     assert len(s) == 1
     (a, b), = s
     assert abs(a + 2.0) < 1e-8 and abs(b - 2.0) < 1e-8
 
 
 def test_symmetric_support_mirrors_and_merges():
-    s = support_mu(HOLED.measure())
+    s = support_mp(HOLED.measure()).symmetric_image()
     assert len(s) == 3
     inner = s[1]
     assert inner[0] == -inner[1]
@@ -294,6 +293,10 @@ def test_two_atom_law_validation_and_weights():
         TwoAtomLaw(alpha=0.9, beta=0.5)
     with pytest.raises(ValueError):
         TwoAtomLaw(alpha=2.0, beta=1.0)
+    for alpha, beta in ((math.inf, 0.5), (math.nan, 0.5), (4.0, math.nan)):
+        with pytest.raises(ValueError) as info:
+            TwoAtomLaw(alpha=alpha, beta=beta)
+        assert f"(got alpha={alpha!r}, beta={beta!r})" in str(info.value)
     law = TwoAtomLaw(alpha=4.0, beta=0.5)
     m = law.measure()
     assert m.mean() == pytest.approx(1.0, abs=1e-12)
