@@ -86,7 +86,13 @@ def parse_measure_spec(text: str):
                 raise ValueError(f"atoms item {item!r}: expected LOCATION=WEIGHT") from None
         return DiscreteMeasure.from_pairs(pairs)
     if head == "two-atom":
-        kw = dict(item.split("=") for item in tail.split(","))
+        kw = {}
+        for item in tail.split(","):
+            try:
+                key, value = item.split("=")
+            except ValueError:
+                raise ValueError(f"two-atom item {item!r}: expected KEY=VALUE") from None
+            kw[key] = value
         unknown = sorted(set(kw) - {"alpha", "beta"})
         if unknown:
             raise ValueError(f"unknown parameters {unknown} for two-atom")
@@ -97,7 +103,10 @@ def parse_measure_spec(text: str):
     if head == "groups":
         groups = []
         for block in tail.split(";"):
-            count_s, family_s, scale_s = block.split("@")
+            try:
+                count_s, family_s, scale_s = block.split("@")
+            except ValueError:
+                raise ValueError(f"groups block {block!r}: expected COUNT@FAMILY@SCALE") from None
             count: str | int | float
             if count_s in ("rest", "sqrt"):
                 count = count_s

@@ -57,7 +57,7 @@ class DegreeSequence:
     def save(self, path) -> None:
         """One integer per line."""
         with open(path, "w") as fh:
-            write_rows(fh, "{}\n", self.as_array())
+            write_rows(fh, " ", self.as_array())
 
     @classmethod
     def load(cls, path) -> "DegreeSequence":

@@ -125,8 +125,7 @@ class Multigraph:
             for key in sorted(header):
                 fh.write(f"# {key}={header[key]}\n")
             for rows in (~loop, loop):
-                write_rows(fh, "{} {} {}\n",
-                           self.edges_i[rows], self.edges_j[rows], self.mult[rows])
+                write_rows(fh, " ", self.edges_i[rows], self.edges_j[rows], self.mult[rows])
 
     @classmethod
     def load_edges(cls, path) -> "Multigraph":

@@ -9,7 +9,9 @@ import pytest
 
 from sparsespectra import (
     ConvergenceError,
+    DegreeSequence,
     DiscreteMeasure,
+    Multigraph,
     OnePlusExponential,
     eigenvalues_symmetric,
     parse_family,
@@ -20,6 +22,7 @@ from sparsespectra import (
 )
 from sparsespectra import cli
 from sparsespectra.cli import main, parse_measure_spec
+from sparsespectra.tables import _BLOCK_ROWS
 
 
 def read_rows(path, header):
@@ -108,6 +111,20 @@ def test_two_atom_with_an_unknown_key_returns_error_code(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "unknown parameters ['gamma'] for two-atom" in capsys.readouterr().err
+
+
+def test_two_atom_item_without_equals_returns_error_code(tmp_path, capsys):
+    rc = main(["support", "--measure", "two-atom:alpha=7,0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "two-atom item '0.5': expected KEY=VALUE" in capsys.readouterr().err
+
+
+def test_groups_block_without_three_parts_returns_error_code(tmp_path, capsys):
+    rc = main(["sample", "--measure", "groups:sqrt@uniform(low=0,high=2)", "--n", "100",
+               "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    expected = "groups block 'sqrt@uniform(low=0,high=2)': expected COUNT@FAMILY@SCALE"
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
@@ -219,6 +236,39 @@ def test_sample_poissonized_runs(tmp_path):
     rc = main(["sample", "--measure", "delta:1", "--n", "50", "--seed", "3",
                "--poissonized", "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_sample_files_match_a_per_row_reference(tmp_path, monkeypatch):
+    made = {}
+
+    def recording(name):
+        build = getattr(cli, name)
+
+        def wrapped(*args, **kwargs):
+            made[name] = build(*args, **kwargs)
+            return made[name]
+        return wrapped
+
+    for name in ("build_degree_sequence", "sample_poissonized"):
+        monkeypatch.setattr(cli, name, recording(name))
+    rc = main(["sample", "--measure", "one-plus-exponential:rate=1", "--n", "1000",
+               "--omega", "20", "--seed", "5", "--poissonized", "--out", str(tmp_path)])
+    assert rc == 0
+    edges_path, degrees_path = tmp_path / "sample_edges.txt", tmp_path / "sample_degrees.txt"
+    graph, seq = Multigraph.load_edges(edges_path), DegreeSequence.load(degrees_path)
+    for name in ("edges_i", "edges_j", "mult"):
+        assert np.array_equal(getattr(graph, name), getattr(made["sample_poissonized"], name))
+    assert seq.degrees == made["build_degree_sequence"].degrees
+    rows = list(zip(graph.edges_i, graph.edges_j, graph.mult))
+    loops = sum(i == j for i, j, _ in rows)
+    assert len(rows) - loops > 2 * _BLOCK_ROWS and loops > 0
+    text = edges_path.read_text()
+    header = "".join(line for line in text.splitlines(keepends=True) if line.startswith("#"))
+    # pair rows first, loop rows after
+    assert text == header + "".join(
+        f"{i} {j} {m}\n" for i, j, m in rows if i != j
+    ) + "".join(f"{i} {j} {m}\n" for i, j, m in rows if i == j)
+    assert degrees_path.read_text() == "".join(f"{d}\n" for d in seq.degrees)
 
 
 # -- esd ----------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """The shared table writer: header layout, field formats, block streaming."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
-from sparsespectra.tables import _BLOCK_ROWS, write_table
+from sparsespectra.tables import _BLOCK_ROWS, write_rows, write_table
+
+I64 = np.iinfo(np.int64)
+U64 = np.iinfo(np.uint64)
 
 
 def test_metadata_lines_sorted_then_column_line(tmp_path):
@@ -57,6 +61,46 @@ def test_many_blocks_match_a_per_row_reference(tmp_path):
         f"{g},{x:.17g},{int(f)}\n" for g, x, f in zip(gap, v, flag)
     )
     assert path.read_text() == reference
+
+
+def _int_reference(sep, *cols):
+    """Per-row text of integer columns, one Python int per field."""
+    return "".join(sep.join(str(int(v)) for v in row) + "\n" for row in zip(*cols))
+
+
+_BOUNDARIES = np.array([9, 10, 99, 100, 10**18 - 1, 10**18, 0, 1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("cols", [
+    pytest.param([np.array([0])], id="zero"),
+    pytest.param([np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.uint8)], id="all-zero"),
+    pytest.param([_BOUNDARIES, _BOUNDARIES[::-1].copy()], id="digit-boundaries"),
+    pytest.param([np.array([I64.min, I64.max, -1, 0, 1])], id="int64-extremes"),
+    pytest.param([np.array([U64.max, 0, 10**19, 10**19 - 1], dtype=np.uint64)], id="uint64-max"),
+    pytest.param([-_BOUNDARIES, np.array([-1, 2, -30, 400, 0, -5, 6, I64.min])], id="negative"),
+    pytest.param([np.array([3, 0, -2, 7], dtype=np.int32), np.array([True, False, True, False]),
+                  np.array([0, 255, 1, 10], dtype=np.uint8)], id="bool-and-ints"),
+    pytest.param([np.array([1, 22, 333], dtype=np.int16)], id="single-column"),
+    pytest.param([np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)], id="empty"),
+])
+@pytest.mark.parametrize("sep", [",", " ", ", "])
+def test_int_rows_match_a_per_row_reference(cols, sep):
+    fh = io.StringIO()
+    write_rows(fh, sep, *cols)
+    assert fh.getvalue() == _int_reference(sep, *cols)
+
+
+def test_int_rows_across_blocks_match_a_per_row_reference(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 2 * _BLOCK_ROWS + 17
+    ids = rng.integers(0, 10**6, n) // 10 ** rng.integers(0, 6, n)
+    # signed ints of 1 to 19 digits, so the rows of one block differ in width
+    signed = rng.integers(I64.min, I64.max, n, endpoint=True) // 10 ** rng.integers(0, 19, n)
+    flag = rng.random(n) < 0.5
+    big = rng.integers(0, U64.max, n, dtype=np.uint64, endpoint=True)
+    path = tmp_path / "t.csv"
+    write_table(path, ("id", "signed", "flag", "big"), ids, signed, flag, big)
+    assert path.read_text() == "id,signed,flag,big\n" + _int_reference(",", ids, signed, flag, big)
 
 
 def test_rejects_mismatched_columns(tmp_path):
