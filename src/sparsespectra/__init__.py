@@ -13,7 +13,7 @@ from .degrees import (
     build_grouped_degrees,
     degree_esd,
 )
-from .families import ContinuousLaw, OnePlusExponential, UniformLaw, parse_family
+from .families import ContinuousLaw, OnePlusExponential, UniformLaw
 from .graphs import (
     Multigraph,
     extend_configuration,
@@ -86,7 +86,6 @@ __all__ = [
     "freedman_diaconis_histogram",
     "kolmogorov_distance",
     "kolmogorov_vs_cdf",
-    "parse_family",
     "phase_diagram",
     "quantize_measure",
     "sample_configuration",

@@ -9,10 +9,14 @@ Measure specs accepted by --measure:
     delta:1                                   point mass
     atoms:0.5=0.75,7=0.25                     finite discrete law
     two-atom:alpha=7,beta=0.5                 unit-mean two-atom law
-    one-plus-exponential:rate=1               1 + Exp(rate), scaled
-    uniform:low=0,high=2
+    one-plus-exponential:rate=1               scale·(1 + Exp(rate)); scale=1
+    uniform:low=0,high=2                      Uniform[low, high]; low=0, high=1
     groups:sqrt@one-plus-exponential(rate=1)@sqrt;rest@uniform(low=0,high=2)@log
     path/to/file                              'location weight' lines
+
+A named law is NAME:KEY=VALUE,... or NAME(KEY=VALUE,...) anywhere, its
+parameters keywords given at most once, defaulting as shown (two-atom has
+no defaults). A groups block takes a continuous law, not two-atom.
 
 Every law but a groups spec is rescaled to unit mean once; a continuous
 law is then sampled i.i.d. on the graph side and quantized on the limit-law
@@ -28,6 +32,7 @@ Output headers echo every effective setting, defaults included.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -35,7 +40,7 @@ import sys
 import numpy as np
 
 from .degrees import DegreeGroup, _resolve_scale, build_degree_sequence, build_grouped_degrees
-from .families import parse_family
+from .families import OnePlusExponential, UniformLaw
 from .graphs import (sample_configuration, sample_poissonized, scaled_adjacency,
                      scaled_adjacency_distance, scaled_adjacency_pair)
 from .limit_law import (DEFAULT_ETA, DEFAULT_QUANTIZE, DEFAULT_TOL, ConvergenceError,
@@ -50,6 +55,67 @@ __all__ = ["main"]
 
 
 # -- spec parsing -----------------------------------------------------------
+
+
+_LAWS = {"one-plus-exponential": OnePlusExponential, "uniform": UniformLaw, "two-atom": TwoAtomLaw}
+
+
+def _split(what: str, text: str, form: str, sep: str, *types) -> list:
+    """`text` cut at `sep` into one part per type, each converted by its type;
+    any other count of parts, or a part its type rejects, raises a ValueError
+    that quotes `text` and names the expected `form`."""
+    parts = text.split(sep)
+    try:
+        if len(parts) == len(types):
+            return [convert(part) for convert, part in zip(types, parts)]
+    except ValueError:
+        pass
+    raise ValueError(f"{what} {text!r}: expected {form}")
+
+
+def _items(what: str, text: str, form: str, key) -> list[tuple]:
+    """The comma-separated KEY=VALUE items of `text` as (key(KEY), float(VALUE)) pairs."""
+    return [tuple(_split(f"{what} item", item, form, "=", key, float))
+            for item in text.split(",")]
+
+
+def _parse_law(text: str):
+    """A law of `_LAWS` from NAME:KEY=VALUE,... or NAME(KEY=VALUE,...).
+
+    The parameters are the law's dataclass fields, each a keyword given at
+    most once; one left out takes the field's default.
+    """
+    name, paren, args = text.partition("(")
+    if paren:
+        if not args.endswith(")"):
+            raise ValueError(f"law {text!r}: expected NAME(KEY=VALUE,...)")
+        args = args[:-1]
+    else:
+        name, _, args = text.partition(":")
+    name = name.strip().lower()
+    if name not in _LAWS:
+        raise ValueError(f"unknown family {name!r}")
+    params: dict[str, float] = {}
+    for key, value in _items(name, args, "KEY=VALUE", str.strip) if args.strip() else ():
+        if key in params:
+            raise ValueError(f"{name} parameter {key!r} given twice")
+        params[key] = value
+    fields = dataclasses.fields(_LAWS[name])
+    unknown = sorted(set(params) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} for {name}")
+    missing = [f.name for f in fields if f.name not in params and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{name} spec lacks {' and '.join(missing)}")
+    return _LAWS[name](**params)
+
+
+def _group_count(text: str) -> str | int | float:
+    return text if text in ("rest", "sqrt") else float(text) if "." in text else int(text)
+
+
+def _group_scale(text: str) -> str | float:
+    return text if text in ("sqrt", "log") else float(text)
 
 
 def parse_measure_spec(text: str):
@@ -75,51 +141,18 @@ def parse_measure_spec(text: str):
     head, _, tail = text.partition(":")
     head = head.strip().lower()
     if head == "delta":
-        return DiscreteMeasure.point_mass(float(tail))
+        return DiscreteMeasure.point_mass(*_split("delta", tail, "LOCATION", ",", float))
     if head == "atoms":
-        pairs = []
-        for item in tail.split(","):
-            try:
-                loc, wt = item.split("=")
-                pairs.append((float(loc), float(wt)))
-            except ValueError:
-                raise ValueError(f"atoms item {item!r}: expected LOCATION=WEIGHT") from None
-        return DiscreteMeasure.from_pairs(pairs)
-    if head == "two-atom":
-        kw = {}
-        for item in tail.split(","):
-            try:
-                key, value = item.split("=")
-            except ValueError:
-                raise ValueError(f"two-atom item {item!r}: expected KEY=VALUE") from None
-            kw[key] = value
-        unknown = sorted(set(kw) - {"alpha", "beta"})
-        if unknown:
-            raise ValueError(f"unknown parameters {unknown} for two-atom")
-        missing = [key for key in ("alpha", "beta") if key not in kw]
-        if missing:
-            raise ValueError(f"two-atom spec lacks {' and '.join(missing)}")
-        return TwoAtomLaw(alpha=float(kw["alpha"]), beta=float(kw["beta"])).measure()
+        return DiscreteMeasure.from_pairs(_items("atoms", tail, "LOCATION=WEIGHT", float))
     if head == "groups":
         groups = []
         for block in tail.split(";"):
-            try:
-                count_s, family_s, scale_s = block.split("@")
-            except ValueError:
-                raise ValueError(f"groups block {block!r}: expected COUNT@FAMILY@SCALE") from None
-            count: str | int | float
-            if count_s in ("rest", "sqrt"):
-                count = count_s
-            elif "." in count_s:
-                count = float(count_s)
-            else:
-                count = int(count_s)
-            scale: str | float = scale_s if scale_s in ("sqrt", "log") else float(scale_s)
-            groups.append(DegreeGroup(count=count, law=parse_family(family_s), scale=scale))
+            count, law, scale = _split("groups block", block, "COUNT@FAMILY@SCALE", "@",
+                                       _group_count, str, _group_scale)
+            groups.append(DegreeGroup(count=count, law=_parse_law(law), scale=scale))
         return groups
-    if "(" in text:
-        return parse_family(text)
-    return parse_family(f"{head}({tail})")
+    law = _parse_law(text)
+    return law.measure() if isinstance(law, TwoAtomLaw) else law
 
 
 def _read_measure(args: argparse.Namespace):
@@ -150,13 +183,15 @@ _GRID_POINTS = 601
 
 def _parse_grid(text: str) -> tuple[float, int]:
     """X_MAX[:POINTS] as (x_max, points); symmetric_grid checks the values."""
-    x_max_s, _, points_s = text.partition(":")
-    return float(x_max_s), int(points_s) if points_s else _GRID_POINTS
+    parts = _split("grid", text, "X_MAX[:POINTS]", ":", *(float, int)[:text.count(":") + 1])
+    return parts[0], parts[1] if len(parts) > 1 else _GRID_POINTS
 
 
-def _parse_linspace(text: str) -> np.ndarray:
-    lo_s, hi_s, count_s = text.split(":")
-    return np.linspace(float(lo_s), float(hi_s), int(count_s))
+def _parse_linspace(what: str, text: str) -> np.ndarray:
+    lo, hi, count = _split(what, text, "LO:HI:COUNT", ":", float, float, int)
+    if count < 1:
+        raise ValueError(f"{what} {text!r}: COUNT must be at least 1")
+    return np.linspace(lo, hi, count)
 
 
 # -- config-file merging ----------------------------------------------------
@@ -228,8 +263,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     x_max, points = _parse_grid(args.grid)
     out = _out_dir(args)
     curve = density_curve(nu, x_max, points, eta=args.eta, tol=args.tol)
-    meta = _echo(args, mass=f"{curve.mass:.17g}", nu_atoms=len(nu))
-    curve.to_csv(os.path.join(out, "density.csv"), metadata=meta)
+    curve.to_csv(os.path.join(out, "density.csv"), metadata=_echo(args, nu_atoms=len(nu)))
     print(f"density: {points} points, mass={curve.mass:.6f} -> {out}/density.csv")
     return 0
 
@@ -280,8 +314,8 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
 
 
 def _cmd_phase_diagram(args: argparse.Namespace) -> int:
-    alphas = _parse_linspace(args.alpha_range)
-    betas = _parse_linspace(args.beta_range)
+    alphas = _parse_linspace("alpha-range", args.alpha_range)
+    betas = _parse_linspace("beta-range", args.beta_range)
     hole, disc = phase_diagram(alphas, betas)
     out = _out_dir(args)
     path = os.path.join(out, "phase_diagram.csv")

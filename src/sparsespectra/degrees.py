@@ -147,6 +147,8 @@ class DegreeGroup:
                 or (isinstance(count, float) and 0 < count < 1)):
             raise ValueError("group count must be 'rest', 'sqrt', an integer >= 0 or a fraction"
                              f" in (0, 1) (got {count!r})")
+        if not isinstance(self.law, ContinuousLaw):
+            raise ValueError(f"group law must be a continuous law (got {self.law!r})")
         if not isinstance(self.scale, str) and not 0 < self.scale < math.inf:
             raise ValueError(f"group scale must be positive and finite (got {self.scale!r})")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ContinuousLaw", "OnePlusExponential", "UniformLaw", "parse_family"]
+__all__ = ["ContinuousLaw", "OnePlusExponential", "UniformLaw"]
 
 
 class ContinuousLaw:
@@ -38,9 +38,6 @@ class ContinuousLaw:
     def normalized(self) -> "ContinuousLaw":
         """Copy rescaled to mean exactly 1."""
         return self.scaled(1.0 / self.mean())
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -86,16 +83,13 @@ class OnePlusExponential(ContinuousLaw):
     def scaled(self, factor: float) -> "OnePlusExponential":
         return OnePlusExponential(self.rate, self.scale * factor)
 
-    def describe(self) -> str:
-        return f"one-plus-exponential(rate={self.rate:g},scale={self.scale:g})"
-
 
 @dataclass(frozen=True)
 class UniformLaw(ContinuousLaw):
     """Uniform on [low, high], low ≥ 0."""
 
-    low: float
-    high: float
+    low: float = 0.0
+    high: float = 1.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.high):
@@ -118,41 +112,3 @@ class UniformLaw(ContinuousLaw):
 
     def scaled(self, factor: float) -> "UniformLaw":
         return UniformLaw(self.low * factor, self.high * factor)
-
-    def describe(self) -> str:
-        return f"uniform(low={self.low:g},high={self.high:g})"
-
-
-def parse_family(text: str) -> ContinuousLaw:
-    """Parse a family spec like ``one-plus-exponential(rate=1,scale=0.5)``.
-
-    Bare positional numbers are allowed: ``one-plus-exponential(1)``.
-    """
-    text = text.strip()
-    if "(" in text:
-        name, _, rest = text.partition("(")
-        args = rest.rstrip(")")
-    else:
-        name, args = text, ""
-    name = name.strip().lower()
-    positional: list[float] = []
-    keyword: dict[str, float] = {}
-    for chunk in filter(None, (c.strip() for c in args.split(","))):
-        if "=" in chunk:
-            key, _, val = chunk.partition("=")
-            keyword[key.strip()] = float(val)
-        else:
-            positional.append(float(chunk))
-    if name in ("one-plus-exponential", "one_plus_exponential"):
-        rate = keyword.pop("rate", positional[0] if positional else 1.0)
-        scale = keyword.pop("scale", positional[1] if len(positional) > 1 else 1.0)
-        if keyword:
-            raise ValueError(f"unknown parameters {sorted(keyword)} for {name}")
-        return OnePlusExponential(rate, scale)
-    if name == "uniform":
-        low = keyword.pop("low", positional[0] if positional else 0.0)
-        high = keyword.pop("high", positional[1] if len(positional) > 1 else 1.0)
-        if keyword:
-            raise ValueError(f"unknown parameters {sorted(keyword)} for {name}")
-        return UniformLaw(low, high)
-    raise ValueError(f"unknown family {name!r}")

@@ -150,8 +150,8 @@ def _eta_schedule(eta_final: float) -> list[float]:
     return etas
 
 
-def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int, to_z=lambda w: w):
-    """Warm-started continuation solve at z = to_z(x + i·e) for every x in xs.
+def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int):
+    """Warm-started continuation solve at z = x + i·e for every x in xs.
 
     e runs down the geometric schedule 1 → eta with factor 1/8 (a single
     stage when eta ≥ 1), starting from g = i·min(1, 1/Im z). Intermediate
@@ -170,11 +170,11 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int, to_z=
     if not np.all(np.isfinite(xs)):
         raise ValueError(f"x must be finite (got {float(xs[~np.isfinite(xs)][0])!r})")
     etas = _eta_schedule(eta)
-    g = 1j * np.minimum(1.0, 1.0 / to_z(xs + 1j * etas[0]).imag)
+    g = np.full(len(xs), 1j * min(1.0, 1.0 / etas[0]))
     total_it = 0
     for k, e in enumerate(etas):
         final = k == len(etas) - 1
-        z = to_z(xs + 1j * e)
+        z = xs + 1j * e
         budget = max_iter - total_it if final else min(2000, max_iter - total_it)
         g, res, it = _iterate_many(z, locs, wts, g, tol if final else max(tol, 1e-11), budget)
         total_it += it
@@ -233,16 +233,20 @@ def density_mp(
 ) -> float:
     """Density of the square law at x ≠ 0: Im h(x + i·eta)/π.
 
-    h(w) = g(√w)/√w with the principal root (Re √w > 0), reached by
-    geometric continuation in eta with warm starts.
+    h(w) = g(z)/z at the principal root z = √w (Re z > 0), with g solved
+    by :func:`solve_g` at Re z and offset Im z; a failure names x and eta.
     """
-    if x == 0:
-        raise ValueError("x must be nonzero")
+    if x == 0 or not math.isfinite(x):
+        raise ValueError(f"x must be finite and nonzero (got {float(x)!r})")
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    z, g, _, _ = _solve(nu, [float(x)], eta, tol, max_iter, to_z=np.sqrt)
-    h = g[0] / z[0]
-    return float(h.imag / math.pi)
+    z = complex(np.sqrt(complex(x, eta)))
+    try:
+        g, _, _ = solve_g(z.real, nu, z.imag, tol=tol, max_iter=max_iter)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"square law at x={float(x)!r}, eta={eta!r}: {exc}",
+                               exc.best_residual) from None
+    return float((g / z).imag / math.pi)
 
 
 def _density_values(x_abs: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -363,7 +367,7 @@ class DensityCurve:
         meta = {
             "eta_final": f"{self.eta_final:g}",
             "measure_hash": self.measure_hash,
-            "mass": f"{self.mass:.12g}",
+            "mass": f"{self.mass:.17g}",
         }
         if metadata:
             meta.update(metadata)

@@ -13,8 +13,8 @@ from sparsespectra import (
     DiscreteMeasure,
     Multigraph,
     OnePlusExponential,
+    UniformLaw,
     eigenvalues_symmetric,
-    parse_family,
     quantize_measure,
     scaled_adjacency,
     trace_distance_bound,
@@ -59,9 +59,19 @@ def test_spec_two_atom():
 
 
 def test_spec_families():
-    law = parse_measure_spec("one-plus-exponential:rate=2")
-    assert law == parse_family("one-plus-exponential(rate=2)")
-    assert isinstance(parse_measure_spec("uniform:low=0,high=2"), type(parse_family("uniform(low=0,high=2)")))
+    assert parse_measure_spec("one-plus-exponential:rate=2") == OnePlusExponential(rate=2.0)
+    assert parse_measure_spec("uniform:low=0,high=2") == UniformLaw(0.0, 2.0)
+
+
+def test_spec_laws_take_keywords_in_either_spelling():
+    assert parse_measure_spec("one-plus-exponential(rate=2.0)") == OnePlusExponential(rate=2.0)
+    assert parse_measure_spec("uniform(low=0, high=2)") == UniformLaw(0.0, 2.0)
+    assert parse_measure_spec("uniform(high=2)") == UniformLaw(0.0, 2.0)
+    assert parse_measure_spec("uniform") == UniformLaw(0.0, 1.0)
+    assert (parse_measure_spec("two-atom(alpha=7,beta=0.5)")
+            == parse_measure_spec("two-atom:alpha=7,beta=0.5"))
+    with pytest.raises(ValueError, match=r"^uniform item '0': expected KEY=VALUE$"):
+        parse_measure_spec("uniform(0, 2)")
 
 
 def test_spec_groups():
@@ -70,6 +80,9 @@ def test_spec_groups():
     assert len(groups) == 2
     assert groups[0].count == "sqrt"
     assert groups[1].count == "rest"
+    assert groups[1].law == UniformLaw(0.0, 2.0)
+    assert parse_measure_spec(
+        "groups:sqrt@one-plus-exponential:rate=1@sqrt;rest@uniform:low=0,high=2@log") == groups
 
 
 def test_spec_file(tmp_path):
@@ -91,8 +104,10 @@ def test_spec_errors_name_the_offending_item(tmp_path):
 
 
 def test_spec_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        parse_measure_spec("zipf:s=2")
+    for spec, name in [("zipf:s=2", "zipf"),
+                       ("one_plus_exponential(rate=1)", "one_plus_exponential")]:
+        with pytest.raises(ValueError, match=rf"^unknown family '{name}'$"):
+            parse_measure_spec(spec)
 
 
 def test_spec_two_atom_names_a_missing_parameter():
@@ -125,6 +140,27 @@ def test_groups_block_without_three_parts_returns_error_code(tmp_path, capsys):
     assert rc == 2
     expected = "groups block 'sqrt@uniform(low=0,high=2)': expected COUNT@FAMILY@SCALE"
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("uniform:low=0,high=2,low=1", "uniform parameter 'low' given twice"),
+    ("two-atom:alpha=7,beta=0.5,alpha=8", "two-atom parameter 'alpha' given twice"),
+    ("one-plus-exponential:rate=1,2,3", "one-plus-exponential item '2': expected KEY=VALUE"),
+    ("one-plus-exponential:rate", "one-plus-exponential item 'rate': expected KEY=VALUE"),
+    ("one-plus-exponential(rate=fast)",
+     "one-plus-exponential item 'rate=fast': expected KEY=VALUE"),
+    ("uniform(low=0,high=2", "law 'uniform(low=0,high=2': expected NAME(KEY=VALUE,...)"),
+    ("delta:abc", "delta 'abc': expected LOCATION"),
+    ("atoms:0.5=half", "atoms item '0.5=half': expected LOCATION=WEIGHT"),
+    ("groups:rest@two-atom(alpha=3,beta=0.5)@sqrt",
+     "group law must be a continuous law (got TwoAtomLaw(alpha=3.0, beta=0.5))"),
+    ("groups:many@uniform(high=2)@sqrt",
+     "groups block 'many@uniform(high=2)@sqrt': expected COUNT@FAMILY@SCALE"),
+])
+def test_bad_spec_exits_2_quoting_what_was_read(tmp_path, capsys, spec, message):
+    rc = main(["sample", "--measure", spec, "--n", "50", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
@@ -343,6 +379,22 @@ def test_density_rejects_bad_tol(tmp_path, tol):
     rc = main(["density", "--measure", "two-atom:alpha=3,beta=0.5", f"--tol={tol}",
                "--grid", "3:21", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["density", "--measure", "delta:1", "--grid", "3:2:1"],
+     "grid '3:2:1': expected X_MAX[:POINTS]"),
+    (["density", "--measure", "delta:1", "--grid", "wide"], "grid 'wide': expected X_MAX[:POINTS]"),
+    (["phase-diagram", "--alpha-range", "1:2"], "alpha-range '1:2': expected LO:HI:COUNT"),
+    (["phase-diagram", "--beta-range", "0.1:0.9:x"],
+     "beta-range '0.1:0.9:x': expected LO:HI:COUNT"),
+    (["phase-diagram", "--alpha-range", "1:2:0"], "alpha-range '1:2:0': COUNT must be at least 1"),
+])
+def test_bad_grid_or_range_exits_2_naming_the_value(tmp_path, capsys, argv, message):
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("x_max", ["nan", "inf"])

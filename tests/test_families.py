@@ -1,11 +1,12 @@
-"""Continuous weight families: quantiles, slab means, parsing."""
+"""Continuous weight families: quantiles, slab means, sampling, parsing."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sparsespectra import OnePlusExponential, UniformLaw, parse_family
+from sparsespectra import OnePlusExponential, UniformLaw
+from sparsespectra.cli import parse_measure_spec
 
 from oracles import one_plus_exp_quantile, slab_mean_by_quadrature, uniform_quantile
 
@@ -67,24 +68,6 @@ def test_uniform_sample_range():
     assert abs(x.mean() - 1.5) < 0.05
 
 
-def test_parse_family_keyword_and_positional():
-    a = parse_family("one-plus-exponential(rate=2.0)")
-    assert isinstance(a, OnePlusExponential)
-    assert a.rate == 2.0
-    b = parse_family("uniform(low=0, high=2)")
-    assert isinstance(b, UniformLaw)
-    assert (b.low, b.high) == (0.0, 2.0)
-    c = parse_family("uniform(0, 2)")
-    assert (c.low, c.high) == (0.0, 2.0)
-
-
 def test_parse_family_rejects_unknown():
-    with pytest.raises(ValueError):
-        parse_family("zeta(3)")
-
-
-def test_describe_round_trips_through_parse():
-    law = OnePlusExponential(rate=1.5, scale=0.25)
-    again = parse_family(law.describe())
-    assert math.isclose(again.rate, 1.5)
-    assert math.isclose(again.scale, 0.25)
+    with pytest.raises(ValueError, match=r"^unknown family 'zeta'$"):
+        parse_measure_spec("zeta(3)")
