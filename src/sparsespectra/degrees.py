@@ -167,8 +167,10 @@ def build_grouped_degrees(groups, n: int, seed=None) -> DegreeSequence:
 
     At most one group may use count="rest" (it absorbs the remaining
     vertices). Used for ensembles mixing, say, sqrt(n)-scale hubs into a
-    log(n)-scale bulk.
+    log(n)-scale bulk. Rejects n < 2 and groups that cover no vertex.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     rng = np.random.default_rng(seed)
     fixed = [(g, g.resolve_count(n)) for g in groups]
     rest_groups = [g for g, c in fixed if c is None]
@@ -184,6 +186,8 @@ def build_grouped_degrees(groups, n: int, seed=None) -> DegreeSequence:
             continue
         t = g.law.sample(rng, c)
         degree_blocks.append(np.floor(_resolve_scale(g.scale, n) * t).astype(np.int64))
+    if not degree_blocks:
+        raise ValueError(f"the groups cover no vertex: every group count resolves to 0 at n={n}")
     return _even_sequence(np.concatenate(degree_blocks))
 
 

@@ -156,6 +156,8 @@ def test_groups_block_without_three_parts_returns_error_code(tmp_path, capsys):
      "group law must be a continuous law (got TwoAtomLaw(alpha=3.0, beta=0.5))"),
     ("groups:many@uniform(high=2)@sqrt",
      "groups block 'many@uniform(high=2)@sqrt': expected COUNT@FAMILY@SCALE"),
+    ("groups:0@uniform(low=0,high=2)@log",
+     "the groups cover no vertex: every group count resolves to 0 at n=50"),
 ])
 def test_bad_spec_exits_2_quoting_what_was_read(tmp_path, capsys, spec, message):
     rc = main(["sample", "--measure", spec, "--n", "50", "--seed", "1", "--out", str(tmp_path)])

@@ -10,6 +10,7 @@ from sparsespectra import (
     DegreeSequence,
     DiscreteMeasure,
     OnePlusExponential,
+    UniformLaw,
     build_degree_sequence,
     build_grouped_degrees,
     degree_esd,
@@ -158,3 +159,14 @@ def test_grouped_degrees_counts_validated():
              DegreeGroup("rest", OnePlusExponential(1.0), "log")],
             n=100, seed=0,
         )
+
+
+@pytest.mark.parametrize("counts,n,message", [
+    (["rest"], 1, "need n >= 2"),
+    ([0], 100, "the groups cover no vertex"),
+    ([0, 0.001], 100, "the groups cover no vertex"),
+])
+def test_grouped_degrees_reject_specs_covering_no_vertex(counts, n, message):
+    groups = [DegreeGroup(c, UniformLaw(0.0, 2.0), "log") for c in counts]
+    with pytest.raises(ValueError, match=message):
+        build_grouped_degrees(groups, n=n, seed=0)

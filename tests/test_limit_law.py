@@ -165,6 +165,32 @@ def test_slope_matches_central_difference_of_residual():
     assert np.all(np.abs(fd - slope) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
 
 
+@pytest.mark.parametrize("cells", [1, 10**12], ids=["one-lane-per-block", "one-block"])
+def test_sweep_bits_do_not_depend_on_the_block_size(monkeypatch, cells):
+    exp = quantize_measure(OnePlusExponential(1.0).normalized(), 2048)
+    split = BOUND_SUITE_ATOMIC["two-atom split"]
+    locs, wts = exp.as_arrays()
+    rng = np.random.default_rng(7)
+    # 37 lanes: not a multiple of the default block of 4 lanes at 2048 atoms
+    z = rng.uniform(-3.5, 3.5, 37) + 1j * rng.uniform(1e-6, 1.0, 37)
+    g = rng.uniform(-1.0, 1.0, 37) + 1j * rng.uniform(1e-3, 2.0, 37)
+
+    def run():
+        sweep = limit_law._residual_and_slope(z, g, locs, wts * locs, wts * locs**2)
+        curves = (density_curve(exp, x_max=3.5, points=201),
+                  density_curve(split, x_max=top_edge(split) + 0.25, points=2401))
+        return sweep, curves
+
+    (F, S), curves = run()
+    monkeypatch.setattr(limit_law, "_SWEEP_CELLS", cells)
+    (F_b, S_b), curves_b = run()
+    assert np.array_equal(F, F_b) and np.array_equal(S, S_b)
+    for curve, curve_b in zip(curves, curves_b):
+        assert np.array_equal(curve.rho, curve_b.rho)
+        assert np.array_equal(curve.residuals, curve_b.residuals)
+        assert curve.iterations == curve_b.iterations
+
+
 # -- transform of the symmetric law ---------------------------------------------
 
 
