@@ -11,7 +11,6 @@ from .degrees import (
     DegreeSequence,
     build_degree_sequence,
     build_grouped_degrees,
-    degree_esd,
 )
 from .families import ContinuousLaw, OnePlusExponential, UniformLaw
 from .graphs import (
@@ -28,7 +27,6 @@ from .limit_law import (
     DensityCurve,
     density_curve,
     density_mp,
-    density_mu,
     quantize_measure,
     solve_g,
     stieltjes_mu,
@@ -38,14 +36,12 @@ from .measures import (
     DiscreteMeasure,
     kolmogorov_distance,
     kolmogorov_vs_cdf,
-    size_bias,
     wasserstein1,
 )
 from .spectrum import (
     eigenvalues_symmetric,
     eigenvalues_symmetric_pair,
     freedman_diaconis_histogram,
-    trace_distance_bound,
     write_histogram_csv,
     write_spectrum_csv,
 )
@@ -76,10 +72,8 @@ __all__ = [
     "UniformLaw",
     "build_degree_sequence",
     "build_grouped_degrees",
-    "degree_esd",
     "density_curve",
     "density_mp",
-    "density_mu",
     "eigenvalues_symmetric",
     "eigenvalues_symmetric_pair",
     "extend_configuration",
@@ -93,12 +87,10 @@ __all__ = [
     "scaled_adjacency",
     "scaled_adjacency_distance",
     "scaled_adjacency_pair",
-    "size_bias",
     "solve_g",
     "stieltjes_mu",
     "support_mp",
     "symmetric_grid",
-    "trace_distance_bound",
     "two_atom_discriminant",
     "two_atom_has_hole",
     "two_atom_threshold",

@@ -331,8 +331,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     nu = _limit_weight_law(spec, args.quantize)
     seq, graph, eigs = _sampled_eigenvalues(args, spec)
     if args.grid is None:
-        top = max(float(np.abs(eigs).max()), math.sqrt(support_mp(nu).intervals[-1][1]))
-        x_max, points = 1.05 * top + 0.25, 800
+        # the curve's CDF is flat past the support, so the grid need not reach the outlier
+        x_max, points = 1.05 * math.sqrt(support_mp(nu).intervals[-1][1]) + 0.25, 800
     else:
         x_max, points = _parse_grid(args.grid)
     curve = density_curve(nu, x_max, points, eta=args.eta, tol=args.tol)
@@ -445,8 +445,8 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--beta-range", default="0.05:0.95:200", help="lo:hi:count (default %(default)s)")
     p = command("compare", _cmd_compare, "Kolmogorov distance between an ESD and the limit",
                 *_SAMPLING, "--poissonized", "--single-adjacency", *_LIMIT)
-    p.add_argument("--grid", help=_GRID_HELP + " (default: 800 points past the spectrum"
-                   " and the support edge)")
+    p.add_argument("--grid", help=_GRID_HELP + " (default: 800 points just past the"
+                   " support edge)")
     command("couple", _cmd_couple, "configuration vs poissonized sample on one degree sequence",
             *_SAMPLING, "--single-adjacency")
 

@@ -24,7 +24,6 @@ __all__ = [
     "DegreeGroup",
     "build_degree_sequence",
     "build_grouped_degrees",
-    "degree_esd",
 ]
 
 
@@ -190,8 +189,3 @@ def build_grouped_degrees(groups, n: int, seed=None) -> DegreeSequence:
         raise ValueError(f"the groups cover no vertex: every group count resolves to 0 at n={n}")
     return _even_sequence(np.concatenate(degree_blocks))
 
-
-def degree_esd(seq: DegreeSequence) -> DiscreteMeasure:
-    """Empirical law of the normalized degrees D_i/omega (unit mean, exactly)."""
-    degs = seq.as_array()
-    return DiscreteMeasure.from_samples(degs / seq.omega)

@@ -1,8 +1,8 @@
 """Parametric continuous laws used as degree-weight distributions.
 
-Each family exposes sampling, quantiles, and closed-form conditional means
-over quantile slabs (the ingredients needed both for i.i.d. degree
-construction and for deterministic quantization into a
+Each family exposes sampling and closed-form conditional means over
+quantile slabs (the ingredients needed both for i.i.d. degree construction
+and for deterministic quantization into a
 :class:`~sparsespectra.measures.DiscreteMeasure`).
 """
 
@@ -25,11 +25,8 @@ class ContinuousLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def quantile(self, p):
-        raise NotImplementedError
-
     def slab_mean(self, p0: float, p1: float) -> float:
-        """E[X | q(p0) < X ≤ q(p1)] in closed form."""
+        """E[X | q(p0) < X ≤ q(p1)] in closed form, q the quantile function."""
         raise NotImplementedError
 
     def scaled(self, factor: float) -> "ContinuousLaw":
@@ -61,10 +58,6 @@ class OnePlusExponential(ContinuousLaw):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.scale * (1.0 + rng.exponential(1.0 / self.rate, size))
-
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        return self.scale * (1.0 - np.log1p(-p) / self.rate)
 
     def slab_mean(self, p0: float, p1: float) -> float:
         # Conditional mean of Exp(rate) between its p0- and p1-quantiles:
@@ -103,12 +96,9 @@ class UniformLaw(ContinuousLaw):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size)
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        return self.low + p * (self.high - self.low)
-
     def slab_mean(self, p0: float, p1: float) -> float:
-        return 0.5 * (float(self.quantile(p0)) + float(self.quantile(p1)))
+        w = self.high - self.low
+        return 0.5 * ((self.low + p0 * w) + (self.low + p1 * w))
 
     def scaled(self, factor: float) -> "UniformLaw":
         return UniformLaw(self.low * factor, self.high * factor)

@@ -78,9 +78,6 @@ class Multigraph:
         np.add.at(deg, self.edges_j, self.mult)
         return deg
 
-    def degree_sequence(self) -> DegreeSequence:
-        return DegreeSequence(self.degrees().tolist())
-
     @property
     def edge_total(self) -> int:
         """Edges counted with multiplicity, loops included."""
@@ -129,7 +126,11 @@ class Multigraph:
 
     @classmethod
     def load_edges(cls, path) -> "Multigraph":
-        """Read `save_edges` text back, rows sorted by (i, j)."""
+        """Read `save_edges` text back, rows sorted by (i, j).
+
+        A pair listed twice, in either order, is rejected: its rows would
+        count in the degrees but not in the adjacency.
+        """
         n = None
         rows = []
         with open(path) as fh:
@@ -142,13 +143,22 @@ class Multigraph:
                     if body.startswith("n="):
                         n = int(body[2:])
                     continue
-                i, j, m = (int(tok) for tok in line.split())
+                try:
+                    i, j, m = (int(tok) for tok in line.split())
+                except ValueError:
+                    raise ValueError(f"edge-list line {line!r} is not three integers "
+                                     "'i j mult'") from None
                 rows.append((min(i, j), max(i, j), m))
         if n is None:
             raise ValueError("edge-list file lacks the '# n=' header")
         ii, jj, mm = np.array(rows, dtype=np.int64).reshape(-1, 3).T
         order = np.lexsort((jj, ii))
-        return cls(n, ii[order], jj[order], mm[order])
+        ii, jj, mm = ii[order], jj[order], mm[order]
+        repeated = np.flatnonzero((ii[1:] == ii[:-1]) & (jj[1:] == jj[:-1]))
+        if repeated.size:
+            k = repeated[0]
+            raise ValueError(f"edge list repeats the pair ({ii[k]}, {jj[k]})")
+        return cls(n, ii, jj, mm)
 
     @classmethod
     def from_instances(cls, n: int, ii, jj) -> "Multigraph":
@@ -326,10 +336,9 @@ def scaled_adjacency_distance(g: Multigraph, h: Multigraph, omega: float,
                               single: bool = False) -> float:
     """sqrt(trace((A−B)²)/n) for the scaled adjacencies A, B of g and h.
 
-    The value of `spectrum.trace_distance_bound(A, B)`, taken from the edge
-    lists in O(|E|) instead of from dense matrices: the squared differences
-    of the integer entries are summed exactly (off-diagonal pairs twice,
-    loops through the diagonal), then divided once by omega·n.
+    Taken from the edge lists in O(|E|), with no dense matrix: the squared
+    differences of the integer entries are summed exactly (off-diagonal pairs
+    twice, loops through the diagonal), then divided once by omega·n.
     """
     n = _common_order(g, h, omega)
     rows_g, cols_g, vals_g = g._lower_entries(single)

@@ -35,7 +35,6 @@ __all__ = [
     "solve_g",
     "stieltjes_mu",
     "density_mp",
-    "density_mu",
     "density_curve",
     "quantize_measure",
     "symmetric_grid",
@@ -304,23 +303,6 @@ def _density_abs(nu: DiscreteMeasure, x_abs: np.ndarray, eta: float, tol: float,
         rho = np.concatenate([rho0, rho])
         residuals = np.concatenate([[max(res[n1], res[n2])], residuals])
     return rho, residuals, iterations
-
-
-def density_mu(
-    x: float,
-    nu: DiscreteMeasure,
-    eta: float = DEFAULT_ETA,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """Density of the symmetric limit law at x (even in x).
-
-    x = 0 is filled in by an even-quadratic extrapolation from
-    x ∈ {0.01, 0.02} and requires nu({0}) = 0 (otherwise the limit carries
-    an atom at the origin and has no density value there).
-    """
-    rho, _, _ = _density_abs(nu, np.array([abs(float(x))]), eta, tol, max_iter)
-    return float(rho[0])
 
 
 def _clamp_density(rho: np.ndarray) -> np.ndarray:

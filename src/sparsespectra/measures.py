@@ -2,8 +2,8 @@
 CDF-based distances between them.
 
 A :class:`DiscreteMeasure` is the common currency of the package: it holds
-normalized degree laws, their size-biased companions, quantized continuous
-laws, and empirical spectral distributions alike.
+normalized degree laws, quantized continuous laws, and empirical spectral
+distributions alike.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "DiscreteMeasure",
-    "size_bias",
     "kolmogorov_distance",
     "wasserstein1",
     "kolmogorov_vs_cdf",
@@ -139,21 +138,6 @@ class DiscreteMeasure:
             f"{x:.17g}:{w:.17g}" for x, w in zip(self.locations, self.weights)
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def size_bias(m: DiscreteMeasure) -> DiscreteMeasure:
-    """Reweight each atom by its location: weight(x) ∝ x·w(x).
-
-    The atom at 0 (if any) drops out. Rejects measures concentrated at 0
-    or with negative support.
-    """
-    if not m.nonnegative():
-        raise ValueError("size bias requires a measure supported on [0, inf)")
-    mean = m.mean()
-    if mean <= 0:
-        raise ValueError("size bias undefined for zero-mean measure (point mass at 0)")
-    pairs = [(x, x * w / mean) for x, w in zip(m.locations, m.weights) if x > 0]
-    return DiscreteMeasure.from_pairs(pairs)
 
 
 def _merged_grid(a: DiscreteMeasure, b: DiscreteMeasure) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Eigenvalues, histograms and trace-distance bounds of symmetric matrices.
+"""Eigenvalues and histograms of symmetric matrices.
 
 Every solve reads only the lower triangle and diagonal of its matrix, so
 a matrix may share its strict upper triangle with another one (see
@@ -19,7 +19,6 @@ from .tables import write_table
 __all__ = [
     "eigenvalues_symmetric",
     "eigenvalues_symmetric_pair",
-    "trace_distance_bound",
     "freedman_diaconis_histogram",
     "write_spectrum_csv",
     "write_histogram_csv",
@@ -69,21 +68,8 @@ def _eigenvalues_descending(a) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(a, dtype=float))[::-1]
 
 
-def trace_distance_bound(a, b) -> float:
-    """sqrt(trace((A−B)²)/n): a rearrangement bound on how far two spectra
-    can drift apart, hence an upper bound on smooth-test-function distances
-    (and on the 1-Wasserstein distance) between the two ESDs.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"matrix shapes differ: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.sqrt(np.vdot(d, d) / len(a)))
-
-
-def freedman_diaconis_histogram(values, bins: int | None = None):
-    """Density histogram with Freedman–Diaconis binning by default.
+def freedman_diaconis_histogram(values):
+    """Density histogram with Freedman–Diaconis binning.
 
     Returns (bin_left, bin_right, density) arrays.
     """
@@ -91,7 +77,7 @@ def freedman_diaconis_histogram(values, bins: int | None = None):
     n = vals.size
     if n == 0:
         raise ValueError("empty sample")
-    counts, edges = np.histogram(vals, bins="fd" if bins is None else bins)
+    counts, edges = np.histogram(vals, bins="fd")
     widths = np.diff(edges)
     density = counts / (n * widths)
     return edges[:-1], edges[1:], density
@@ -103,8 +89,7 @@ def write_spectrum_csv(path, eigenvalues, metadata: dict | None = None) -> None:
     write_table(path, ("eigenvalue",), eigs, metadata=metadata)
 
 
-def write_histogram_csv(path, values, bins: int | None = None,
-                        metadata: dict | None = None) -> None:
-    left, right, density = freedman_diaconis_histogram(values, bins)
+def write_histogram_csv(path, values, metadata: dict | None = None) -> None:
+    left, right, density = freedman_diaconis_histogram(values)
     write_table(path, ("bin_left", "bin_right", "density"), left, right, density,
                 metadata=metadata)

@@ -72,9 +72,6 @@ class SupportIntervals:
     def __getitem__(self, idx):
         return self.intervals[idx]
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return any(a - slack <= x <= b + slack for a, b in self.intervals)
-
     def gaps(self) -> tuple[tuple[float, float], ...]:
         """Open gaps between consecutive intervals."""
         return tuple((b1, a2) for (_, b1), (a2, _) in zip(self.intervals, self.intervals[1:]))

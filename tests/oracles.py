@@ -82,6 +82,22 @@ def total_variation(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
+# -- dense matrix distance -----------------------------------------------------
+
+
+def trace_distance_bound(a, b) -> float:
+    """sqrt(trace((A−B)²)/n): a rearrangement bound on how far two spectra
+    can drift apart, hence an upper bound on smooth-test-function distances
+    (and on the 1-Wasserstein distance) between the two ESDs.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"matrix shapes differ: {a.shape} vs {b.shape}")
+    d = a - b
+    return float(np.sqrt(np.vdot(d, d) / len(a)))
+
+
 # -- calculus helpers ---------------------------------------------------------
 
 
@@ -132,6 +148,33 @@ def slab_mean_by_quadrature(quantile_fun, p0: float, p1: float,
         if p0 < lo < hi:
             total += cell(lo, hi)
     return total / (p1 - p0)
+
+
+# -- plane-tree moments of the limit law ----------------------------------------
+
+
+def tree_moments(moment, k_max: int) -> list[float]:
+    """Even moments m_0, m_2, …, m_2k_max of the limit law ν ⊠ σ_sc.
+
+    m_2k = Σ_T Π_{v ∈ T} moment(deg v) over the rooted plane trees T with
+    k edges, where deg v counts the tree edges at v (the moment–cumulant
+    calculus of free multiplicative convolution; the closed walks of a
+    locally tree-like graph). `moment(j)` is E[D^j]. A memoised recursion
+    over planted subtrees takes O(k³) steps and shares nothing with the
+    fixed-point solver. δ₁ gives the Catalan numbers.
+    """
+    mom = [moment(j) for j in range(k_max + 1)]
+    # planted[e]: a vertex, its stem to the parent and its subtree, e edges in all
+    planted = [0.0] * (k_max + 1)
+    # forest[c][e]: ordered sequences of c planted subtrees with e edges in all
+    forest = [[0.0] * (k_max + 1) for _ in range(k_max + 1)]
+    forest[0][0] = 1.0
+    for e in range(1, k_max + 1):
+        # the top vertex has c children and the stem: degree c + 1
+        planted[e] = sum(mom[c + 1] * forest[c][e - 1] for c in range(e))
+        for c in range(1, e + 1):
+            forest[c][e] = sum(planted[s] * forest[c - 1][e - s] for s in range(1, e - c + 2))
+    return [sum(mom[c] * forest[c][k] for c in range(k + 1)) for k in range(k_max + 1)]
 
 
 # -- independent square-law transform solver ----------------------------------

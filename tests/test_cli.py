@@ -13,16 +13,19 @@ from sparsespectra import (
     DiscreteMeasure,
     Multigraph,
     OnePlusExponential,
+    TwoAtomLaw,
     UniformLaw,
     eigenvalues_symmetric,
     quantize_measure,
     scaled_adjacency,
-    trace_distance_bound,
+    support_mp,
     xi,
 )
 from sparsespectra import cli
 from sparsespectra.cli import main, parse_measure_spec
 from sparsespectra.tables import _BLOCK_ROWS
+
+from oracles import trace_distance_bound
 
 
 def read_rows(path, header):
@@ -527,6 +530,24 @@ def test_compare_small_regular_graph(tmp_path):
     assert float(meta["kolmogorov"]) < 0.2
     meta2, _ = read_rows(tmp_path / "compare_density.csv", "x,rho")
     assert meta2["kolmogorov"] == meta["kolmogorov"]
+
+
+def test_compare_default_grid_ends_just_past_the_support(tmp_path, monkeypatch):
+    # the Perron outlier (near sqrt(omega)·E[D²]) must not stretch the grid:
+    # the curve's CDF is already flat past the support
+    def far_outlier(a):
+        eigs = eigenvalues_symmetric(a)
+        eigs[0] = 1e3
+        return eigs
+
+    monkeypatch.setattr(cli, "eigenvalues_symmetric", far_outlier)
+    rc = main(["compare", "--measure", "two-atom:alpha=3,beta=0.5", "--n", "200", "--seed", "4",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_rows(tmp_path / "compare_density.csv", "x,rho")
+    edge = math.sqrt(support_mp(TwoAtomLaw(alpha=3.0, beta=0.5).measure()).intervals[-1][1])
+    assert len(rows) == 800
+    assert math.isclose(float(rows[-1][0]), 1.05 * edge + 0.25, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("command", ["density", "compare"])

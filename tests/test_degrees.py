@@ -13,12 +13,16 @@ from sparsespectra import (
     UniformLaw,
     build_degree_sequence,
     build_grouped_degrees,
-    degree_esd,
 )
 
 
 def delta(c=1.0):
     return DiscreteMeasure.point_mass(c)
+
+
+def degree_esd(seq):
+    """Empirical law of the normalized degrees D_i/omega."""
+    return DiscreteMeasure.from_samples(seq.as_array() / seq.omega)
 
 
 def test_regular_case_even_sum():

@@ -1,6 +1,7 @@
 """Multigraph samplers: exactness, uniformity, coupling extension, matrices."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 
 from sparsespectra import (
     DegreeSequence,
+    DiscreteMeasure,
     Multigraph,
+    build_degree_sequence,
+    eigenvalues_symmetric,
     extend_configuration,
     sample_configuration,
     sample_poissonized,
@@ -302,10 +306,25 @@ def test_pair_functions_reject_bad_input(pair_function):
         pair_function(empty_graph(2), empty_graph(2), omega=0.0)
 
 
+@pytest.mark.parametrize("single", [False, True])
+def test_sorted_spectra_differ_by_at_most_the_distance(single):
+    # Hoffman–Wielandt: the root mean square gap of the two sorted spectra
+    # is at most sqrt(tr((A−B)²)/n)
+    nu = DiscreteMeasure.from_pairs([(0.5, 0.8), (3.0, 0.2)])
+    seq = build_degree_sequence(nu, n=300, omega_target=18.0)
+    for seed in (1, 2, 3):
+        g = sample_configuration(seq, seed=seed)
+        h = sample_poissonized(seq, seed=seed + 100)
+        a, b = (eigenvalues_symmetric(scaled_adjacency(x, seq.omega, single=single))
+                for x in (g, h))
+        rms = math.sqrt(np.mean((a - b) ** 2))
+        assert rms <= scaled_adjacency_distance(g, h, seq.omega, single=single)
+
+
 def test_trace_identity_exact_on_simple_loopless_graph():
     # path on 4 vertices: multiplicities all 1, no loops
     g = Multigraph(4, np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([1, 1, 1]))
-    seq = g.degree_sequence()
+    seq = DegreeSequence(g.degrees())
     ahat = scaled_adjacency(g, seq.omega)
     assert math.isclose(np.trace(ahat @ ahat) / g.n, 1.0, rel_tol=1e-12)
 
@@ -371,6 +390,25 @@ def test_edge_list_and_instances_reject_a_vertex_outside_n(tmp_path):
         Multigraph.load_edges(path)
     with pytest.raises(ValueError, match="vertex id 5 outside"):
         Multigraph.from_instances(3, [0], [5])
+
+
+@pytest.mark.parametrize("rows, pair", [("0 1 2\n1 0 1\n", "(0, 1)"), ("1 1 1\n1 1 2\n", "(1, 1)")],
+                         ids=["pair", "loop"])
+def test_edge_list_rejects_a_repeated_pair(tmp_path, rows, pair):
+    # kept as two rows, 0 1 2 and 1 0 1 would give vertex 0 degree 3 but an
+    # adjacency row sum of 1
+    path = tmp_path / "edges.txt"
+    path.write_text("# n=2\n" + rows)
+    with pytest.raises(ValueError, match=re.escape(f"repeats the pair {pair}")):
+        Multigraph.load_edges(path)
+
+
+@pytest.mark.parametrize("line", ["0 1", "0 1 2 3", "0 x 1", "0 1 1.5"])
+def test_edge_list_rejects_a_line_that_is_not_three_integers(tmp_path, line):
+    path = tmp_path / "edges.txt"
+    path.write_text(f"# n=2\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"edge-list line {line!r}")):
+        Multigraph.load_edges(path)
 
 
 def test_seed_repetition_is_byte_identical(tmp_path):

@@ -13,7 +13,6 @@ from sparsespectra import (
     UniformLaw,
     density_curve,
     density_mp,
-    density_mu,
     quantize_measure,
     solve_g,
     stieltjes_mu,
@@ -22,7 +21,7 @@ from sparsespectra import (
 )
 from sparsespectra import limit_law
 
-from oracles import cauchy_transform_quadrature, semicircle_g, solve_h_reference
+from oracles import cauchy_transform_quadrature, semicircle_g, solve_h_reference, tree_moments
 
 DELTA_ONE = DiscreteMeasure.from_pairs([(1.0, 1.0)])
 TWO_ATOM = TwoAtomLaw(alpha=4.0, beta=0.5).measure()
@@ -88,9 +87,8 @@ CURVE_NODES = [*symmetric_grid(2.0, 21)[11:], 0.01, 0.02]
     (lambda: solve_g(0.5, THREE_ATOM, 1e-6, max_iter=3), [0.5]),
     (lambda: solve_g(np.array([0.25, 0.5]), THREE_ATOM, 1e-6, max_iter=3), [0.25, 0.5]),
     (lambda: density_mp(0.5, THREE_ATOM, eta=1e-6, max_iter=3), [0.5]),
-    (lambda: density_mu(-0.5, THREE_ATOM, eta=1e-6, max_iter=3), [0.5]),
     (lambda: density_curve(THREE_ATOM, x_max=2.0, points=21, eta=1e-6, max_iter=3), CURVE_NODES),
-], ids=["solve_g", "solve_g_array", "density_mp", "density_mu", "density_curve"])
+], ids=["solve_g", "solve_g_array", "density_mp", "density_curve"])
 def test_every_entry_point_fails_through_the_one_continuation(call, xs):
     # max_iter bounds the whole continuation, so 3 iterations cannot reach eta
     with pytest.raises(ConvergenceError) as info:
@@ -269,8 +267,6 @@ def test_densities_reject_bad_eta(eta):
     with pytest.raises(ValueError, match="eta"):
         density_curve(DELTA_ONE, x_max=2.0, points=21, eta=eta)
     with pytest.raises(ValueError, match="eta"):
-        density_mu(0.5, DELTA_ONE, eta=eta)
-    with pytest.raises(ValueError, match="eta"):
         density_mp(0.5, DELTA_ONE, eta=eta)
 
 
@@ -278,7 +274,6 @@ TOL_ENTRY_POINTS = {
     "solve_g": lambda tol: solve_g(0.0, DELTA_ONE, 1.0, tol=tol),
     "solve_g_array": lambda tol: solve_g(np.array([1.0]), DELTA_ONE, tol=tol),
     "density_mp": lambda tol: density_mp(0.5, DELTA_ONE, tol=tol),
-    "density_mu": lambda tol: density_mu(0.5, DELTA_ONE, tol=tol),
     "density_curve": lambda tol: density_curve(DELTA_ONE, x_max=2.0, points=21, tol=tol),
 }
 
@@ -296,7 +291,6 @@ NON_FINITE_ENTRY_POINTS = {
     "solve_g_array": lambda x: solve_g(np.array([0.5, x]), DELTA_ONE),
     "stieltjes_mu": lambda x: stieltjes_mu(complex(x, 1.0), DELTA_ONE),
     "density_mp": lambda x: density_mp(x, DELTA_ONE),
-    "density_mu": lambda x: density_mu(x, DELTA_ONE),
     "density_curve": lambda x: density_curve(DELTA_ONE, x_max=x, points=21),
 }
 
@@ -304,7 +298,7 @@ NON_FINITE_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_entry_points_reject_non_finite_x(entry, x):
-    # density_mp(nan) and density_mu(inf) used to return nan without an error
+    # density_mp(nan) used to return nan without an error
     with pytest.raises(ValueError, match="finite") as info:
         NON_FINITE_ENTRY_POINTS[entry](x)
     assert f"(got {x!r})" in str(info.value) or f"(got {abs(x)!r})" in str(info.value)
@@ -346,18 +340,12 @@ def test_square_law_density_rejects_origin():
 
 def test_symmetric_density_values_for_unit_weights():
     # rho(0) = 1/pi, rho(+-1) = sqrt(3)/(2*pi), tail at 2.5 vanishes
-    assert abs(density_mu(0.0, DELTA_ONE) - 1 / math.pi) < 1e-4
-    v_plus = density_mu(1.0, DELTA_ONE)
-    v_minus = density_mu(-1.0, DELTA_ONE)
-    assert v_plus == v_minus  # evaluated through |x|: even exactly
-    assert abs(v_plus - math.sqrt(3) / (2 * math.pi)) < 1e-5
-    assert density_mu(2.5, DELTA_ONE) < 1e-4
-
-
-def test_symmetric_density_origin_requires_no_zero_mass():
-    nu = DiscreteMeasure.from_pairs([(0.0, 0.5), (2.0, 0.5)])
-    with pytest.raises(ValueError):
-        density_mu(0.0, nu)
+    curve = density_curve(DELTA_ONE, x_max=2.5, points=11)
+    rho = dict(zip(curve.grid.tolist(), curve.rho.tolist()))
+    assert abs(rho[0.0] - 1 / math.pi) < 1e-4
+    assert rho[1.0] == rho[-1.0]  # evaluated through |x|: even exactly
+    assert abs(rho[1.0] - math.sqrt(3) / (2 * math.pi)) < 1e-5
+    assert rho[2.5] < 1e-4
 
 
 # -- sampled curves ----------------------------------------------------------------
@@ -394,6 +382,21 @@ def test_curve_second_moment_matches_weight_mean():
     assert abs(curve.second_moment() - 1.0) < 5e-3
 
 
+def test_curve_moments_match_plane_tree_moments():
+    # m_2k of nu ⊠ semicircle depends on nu from m_4 = 2E[D²] on, which the
+    # unit second moment cannot see. On gate 5's grid the worst relative
+    # error over 2k ≤ 8 is 8.1e-5 (two-atom split, m_8); the bound leaves
+    # a factor of about 12, while a semicircle answer misses m_4 by 100%.
+    laws = {**BOUND_SUITE_ATOMIC,
+            "quantized 1+Exp": quantize_measure(OnePlusExponential(1.0).normalized(), 2048)}
+    for name, nu in laws.items():
+        curve = density_curve(nu, x_max=top_edge(nu) + 0.25, points=2401, eta=1e-6)
+        exact = tree_moments(nu.moment, 4)
+        for k in range(1, 5):
+            got = float(np.trapezoid(curve.grid ** (2 * k) * curve.rho, curve.grid))
+            assert abs(got / exact[k] - 1.0) <= 1e-3, (name, 2 * k, got, exact[k])
+
+
 def test_curve_cdf_endpoints_and_monotonicity():
     curve = density_curve(DELTA_ONE, x_max=2.5, points=401)
     xs = np.linspace(-2.5, 2.5, 50)
@@ -404,10 +407,14 @@ def test_curve_cdf_endpoints_and_monotonicity():
 
 
 def test_point_density_equals_curve_at_every_node():
+    # each |x| is solved on its own lane, so a grid holding only ±x (or 0,
+    # whose value comes from the nodes 0.01 and 0.02) gives the same bits
     for nu in (DELTA_ONE, THREE_ATOM):
         curve = density_curve(nu, x_max=3.0, points=21)
         assert 0.0 in curve.grid
-        assert [density_mu(x, nu) for x in curve.grid] == curve.rho.tolist()
+        alone = [density_curve(nu, x_max=abs(x), points=2).rho[1] if x
+                 else density_curve(nu, x_max=0.02, points=3).rho[1] for x in curve.grid]
+        assert alone == curve.rho.tolist()
 
 
 def test_curve_rejects_zero_node_with_zero_mass():

@@ -1,4 +1,4 @@
-"""Discrete measures: construction, moments, size-bias, distances."""
+"""Discrete measures: construction, moments, distances."""
 
 import math
 
@@ -9,7 +9,6 @@ from sparsespectra import (
     DiscreteMeasure,
     kolmogorov_distance,
     kolmogorov_vs_cdf,
-    size_bias,
     wasserstein1,
 )
 
@@ -63,52 +62,6 @@ def test_content_hash_is_stable_and_sensitive():
     c = DiscreteMeasure((1.0, 2.5), (0.5, 0.5))
     assert a.content_hash() == b.content_hash()
     assert a.content_hash() != c.content_hash()
-
-
-# -- size bias ---------------------------------------------------------------
-
-
-def test_size_bias_point_mass_fixed():
-    m = DiscreteMeasure.point_mass(1.0)
-    assert size_bias(m).locations == (1.0,)
-    assert size_bias(m).weights == (1.0,)
-
-
-def test_size_bias_example_two_atoms():
-    # atoms {1: 1/2, 3: 1/2}: mean 2, so biased weights (1/4, 3/4)
-    m = DiscreteMeasure((1.0, 3.0), (0.5, 0.5))
-    b = size_bias(m)
-    assert b.locations == (1.0, 3.0)
-    assert np.allclose(b.weights, (0.25, 0.75))
-
-
-def test_size_bias_drops_zero_atom():
-    m = DiscreteMeasure((0.0, 2.0), (0.5, 0.5))
-    b = size_bias(m)
-    assert b.locations == (2.0,)
-    assert b.weights == (1.0,)
-
-
-def test_size_bias_mean_is_second_over_first_moment():
-    rng = np.random.default_rng(7)
-    locs = np.sort(rng.uniform(0.1, 5.0, size=6))
-    wts = rng.dirichlet(np.ones(6))
-    m = DiscreteMeasure(tuple(locs), tuple(wts))
-    assert math.isclose(size_bias(m).mean(), m.moment(2) / m.mean(), rel_tol=1e-12)
-
-
-def test_size_bias_rejects_zero_mean():
-    with pytest.raises(ValueError):
-        size_bias(DiscreteMeasure.point_mass(0.0))
-
-
-def test_size_bias_idempotent_only_on_point_masses():
-    m = DiscreteMeasure((1.0, 3.0), (0.5, 0.5))
-    once = size_bias(m)
-    twice = size_bias(once)
-    assert not np.allclose(once.weights, twice.weights)
-    p = DiscreteMeasure.point_mass(2.5)
-    assert size_bias(p).locations == p.locations
 
 
 # -- distances ----------------------------------------------------------------
