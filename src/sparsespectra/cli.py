@@ -48,7 +48,7 @@ from .limit_law import (DEFAULT_ETA, DEFAULT_QUANTIZE, DEFAULT_TOL, ConvergenceE
 from .measures import DiscreteMeasure, kolmogorov_distance, kolmogorov_vs_cdf, wasserstein1
 from .spectrum import (eigenvalues_symmetric, eigenvalues_symmetric_pair, write_histogram_csv,
                        write_spectrum_csv)
-from .support import DEFAULT_MIN_GAP, TwoAtomLaw, phase_diagram, support_mp, xi
+from .support import DEFAULT_MIN_GAP, TwoAtomLaw, _positive_atoms, _xi_at, phase_diagram, support_mp
 from .tables import write_table
 
 __all__ = ["main"]
@@ -294,10 +294,11 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
     point (its left end), so past that many gaps the trace has one row
     per gap. Whole gaps are evaluated in blocks of at most
     _XI_TRACE_CELLS point·atom cells (at least one gap per block): all
-    gaps at once would take points × atoms² memory.
+    gaps at once would take points × atoms² memory. The positive atoms are
+    taken once for all blocks.
     """
-    locs, _ = nu.as_arrays()
-    poles = np.sort(-1.0 / locs[locs > 0])
+    locs, wts = _positive_atoms(nu)
+    poles = np.sort(-1.0 / locs)
     span = float(poles[-1] - poles[0]) or 1.0
     lo = np.concatenate([[poles[0] - 1.5 * span], poles])
     hi = np.concatenate([poles, [0.0]])
@@ -305,7 +306,7 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
     vs = lo[:, None] + (hi - lo)[:, None] * np.linspace(1e-4, 1.0 - 1e-4, points_per_gap)
     step = max(1, _XI_TRACE_CELLS // (points_per_gap * len(poles)))
     blocks = [vs[k:k + step] for k in range(0, len(vs), step)]
-    pairs = [xi(block, nu) for block in blocks]
+    pairs = [_xi_at(block, locs, wts) for block in blocks]
     xis = np.concatenate([vals for vals, _ in pairs])
     slopes = np.concatenate([slopes for _, slopes in pairs])
     gaps = np.repeat(np.arange(len(vs)), points_per_gap)

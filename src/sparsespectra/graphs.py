@@ -51,7 +51,8 @@ class Multigraph:
 
     Row k joins edges_i[k] ≤ edges_j[k] by mult[k] ≥ 1 edges. A row with
     edges_i == edges_j is a loop row: mult loops at that vertex, each
-    adding 2 to its degree. Samplers store the rows sorted by (i, j).
+    adding 2 to its degree. No pair has two rows. Samplers store the rows
+    sorted by (i, j).
     """
 
     n: int
@@ -69,6 +70,15 @@ class Multigraph:
         if (self.mult <= 0).any():
             raise ValueError("multiplicities must be positive")
         _reject_outside(self.n, self.edges_i, self.edges_j)
+        # a repeated pair would count twice in the degrees but once in the
+        # adjacency; rows sorted with distinct pairs pass in one O(E) check
+        keys = self.edges_i * self.n + self.edges_j
+        if (keys[1:] <= keys[:-1]).any():
+            keys = np.sort(keys)
+            repeated = np.flatnonzero(keys[1:] == keys[:-1])
+            if repeated.size:
+                i, j = divmod(int(keys[repeated[0]]), self.n)
+                raise ValueError(f"edge list repeats the pair ({i}, {j})")
 
     # -- derived quantities -------------------------------------------
 
@@ -153,12 +163,7 @@ class Multigraph:
             raise ValueError("edge-list file lacks the '# n=' header")
         ii, jj, mm = np.array(rows, dtype=np.int64).reshape(-1, 3).T
         order = np.lexsort((jj, ii))
-        ii, jj, mm = ii[order], jj[order], mm[order]
-        repeated = np.flatnonzero((ii[1:] == ii[:-1]) & (jj[1:] == jj[:-1]))
-        if repeated.size:
-            k = repeated[0]
-            raise ValueError(f"edge list repeats the pair ({ii[k]}, {jj[k]})")
-        return cls(n, ii, jj, mm)
+        return cls(n, ii[order], jj[order], mm[order])
 
     @classmethod
     def from_instances(cls, n: int, ii, jj) -> "Multigraph":

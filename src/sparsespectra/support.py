@@ -109,7 +109,11 @@ def xi(v, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     Both come from one sweep den = 1 + v⊗d, for a float v or an array;
     rejects v at a pole (0 or any −1/d).
     """
-    locs, wts = _positive_atoms(nu)
+    return _xi_at(v, *_positive_atoms(nu))
+
+
+def _xi_at(v, locs: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`xi` on the positive atoms (locs, wts) of `_positive_atoms`."""
     v_arr = np.asarray(v, dtype=float)
     den = 1.0 + np.multiply.outer(v_arr, locs)
     if np.any(v_arr == 0) or np.any(den == 0):

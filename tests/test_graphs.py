@@ -44,10 +44,20 @@ def empty_graph(n):
     (([0, 1], [1], [1]), "matching shapes"),
     (([-1], [1], [1]), "vertex id -1 outside"),
     (([0], [3], [1]), "vertex id 3 outside"),
+    (([0, 0], [1, 1], [2, 1]), r"repeats the pair \(0, 1\)"),
+    (([0, 1, 1], [1, 1, 1], [1, 1, 3]), r"repeats the pair \(1, 1\)"),
+    (([1, 0, 1], [2, 1, 2], [1, 1, 1]), r"repeats the pair \(1, 2\)"),
+    (([2, 0, 1, 0], [2, 2, 1, 2], [1, 1, 1, 4]), r"repeats the pair \(0, 2\)"),
 ])
 def test_multigraph_rejects_bad_rows(rows, message):
     with pytest.raises(ValueError, match=message):
         Multigraph(3, *rows)
+
+
+def test_multigraph_accepts_distinct_unsorted_rows():
+    g = Multigraph(3, [1, 0, 2], [2, 1, 2], [1, 2, 1])
+    assert g.degrees().tolist() == [2, 3, 3]
+    assert g.adjacency().sum(axis=1).tolist() == [2, 3, 3]
 
 
 # -- configuration sampler ----------------------------------------------------

@@ -117,7 +117,7 @@ def top_edge(nu):
 
 
 def halving_schedule(eta_final):
-    """The factor-1/2 continuation schedule, as the reference for the 1/8 one."""
+    """The factor-1/2 continuation schedule, as the reference for the long-step one."""
     etas = []
     e = 1.0
     while e > eta_final:
@@ -127,26 +127,34 @@ def halving_schedule(eta_final):
     return etas
 
 
-def test_eighth_step_schedule_matches_halving(monkeypatch):
+def test_loose_long_stages_match_halving(monkeypatch):
+    # The reference solves every stage of the halving schedule to tol. Both
+    # sides solve to 1e-12 (worst gap measured 2.2e-11): at the default
+    # 1e-10 the reference itself sits up to 9.7e-10 from a 1e-14 solve
+    # (three-atom, eta = 1e-2), and the long-step curve 3.1e-11.
     laws = {**BOUND_SUITE_ATOMIC,
-            "quantized 1+Exp": quantize_measure(OnePlusExponential(1.0).normalized(), 256)}
+            "quantized 1+Exp": quantize_measure(OnePlusExponential(1.0).normalized(), 256),
+            "quantized Uniform(0, 2)": quantize_measure(UniformLaw(0.0, 2.0).normalized(), 2048)}
     for name, nu in laws.items():
         x_max = top_edge(nu) + 0.25
-        for eta in (1e-6, 1e-4):
+        for eta in (1e-6, 1e-4, 1e-2):
             assert limit_law._eta_schedule(eta)[-1] == eta
-            eighth = density_curve(nu, x_max=x_max, points=401, eta=eta)
+            long_steps = density_curve(nu, x_max=x_max, points=401, eta=eta, tol=1e-12)
             with monkeypatch.context() as m:
                 m.setattr(limit_law, "_eta_schedule", halving_schedule)
-                halving = density_curve(nu, x_max=x_max, points=401, eta=eta)
-            assert eighth.iterations < halving.iterations, name
-            assert np.max(np.abs(eighth.rho - halving.rho)) < 1e-9, (name, eta)
+                m.setattr(limit_law, "_STAGE_TOL", 0.0)
+                halving = density_curve(nu, x_max=x_max, points=401, eta=eta, tol=1e-12)
+            assert long_steps.iterations < halving.iterations, (name, eta)
+            assert np.max(np.abs(long_steps.rho - halving.rho)) < 1e-9, (name, eta)
 
 
 def test_curve_iteration_ceilings():
+    # measured 10 and 22 iterations (28 and 31 with the old schedule of
+    # eight fully solved stages); the ceilings allow about a quarter more
     exp = quantize_measure(OnePlusExponential(1.0).normalized(), 2048)
-    assert density_curve(exp, x_max=3.5, points=201).iterations <= 40
+    assert density_curve(exp, x_max=3.5, points=201).iterations <= 13
     split = BOUND_SUITE_ATOMIC["two-atom split"]
-    assert density_curve(split, x_max=top_edge(split) + 0.25, points=2401).iterations <= 40
+    assert density_curve(split, x_max=top_edge(split) + 0.25, points=2401).iterations <= 27
 
 
 def test_slope_matches_central_difference_of_residual():
