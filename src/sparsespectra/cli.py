@@ -48,7 +48,7 @@ from .limit_law import (DEFAULT_ETA, DEFAULT_QUANTIZE, DEFAULT_TOL, ConvergenceE
 from .measures import DiscreteMeasure, kolmogorov_distance, kolmogorov_vs_cdf, wasserstein1
 from .spectrum import (eigenvalues_symmetric, eigenvalues_symmetric_pair, write_histogram_csv,
                        write_spectrum_csv)
-from .support import DEFAULT_MIN_GAP, TwoAtomLaw, _positive_atoms, _xi_at, phase_diagram, support_mp
+from .support import DEFAULT_MIN_GAP, TwoAtomLaw, phase_diagram, support_mp, xi
 from .tables import write_table
 
 __all__ = ["main"]
@@ -173,7 +173,11 @@ def _sampled_graph(args: argparse.Namespace, spec, poissonized: bool):
     if isinstance(spec, list):
         seq = build_grouped_degrees(spec, args.n, seed=args.seed)
     else:
-        seq = build_degree_sequence(spec, args.n, _resolve_scale(args.omega, args.n), seed=args.seed)
+        try:
+            scale = _resolve_scale(args.omega, args.n)
+        except ValueError:
+            raise ValueError(f"omega {args.omega!r}: expected a number, 'sqrt' or 'log'") from None
+        seq = build_degree_sequence(spec, args.n, scale, seed=args.seed)
     sampler = sample_poissonized if poissonized else sample_configuration
     return seq, sampler(seq, seed=args.seed + 1)
 
@@ -200,11 +204,13 @@ def _parse_linspace(what: str, text: str) -> np.ndarray:
 def _read_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path} line {lineno}: expected KEY=VALUE, got {line!r}")
             out[key.strip().replace("-", "_")] = value.strip()
     return out
 
@@ -283,7 +289,6 @@ def _cmd_support(args: argparse.Namespace) -> int:
 
 
 _XI_TRACE_ROWS = 20_000
-_XI_TRACE_CELLS = 1 << 17  # point·atom cells evaluated at once
 
 
 def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
@@ -292,23 +297,16 @@ def _write_xi_trace(path, nu: DiscreteMeasure, metadata: dict) -> None:
     400 points per gap, fewer when there are more than 50 gaps, so the
     trace stays within _XI_TRACE_ROWS rows; every gap keeps at least one
     point (its left end), so past that many gaps the trace has one row
-    per gap. Whole gaps are evaluated in blocks of at most
-    _XI_TRACE_CELLS point·atom cells (at least one gap per block): all
-    gaps at once would take points × atoms² memory. The positive atoms are
-    taken once for all blocks.
+    per gap. `nu` has a positive atom: support_mp has checked it.
     """
-    locs, wts = _positive_atoms(nu)
-    poles = np.sort(-1.0 / locs)
+    locs = nu.as_arrays()[0]
+    poles = np.sort(-1.0 / locs[locs > 0])
     span = float(poles[-1] - poles[0]) or 1.0
     lo = np.concatenate([[poles[0] - 1.5 * span], poles])
     hi = np.concatenate([poles, [0.0]])
     points_per_gap = max(1, min(400, _XI_TRACE_ROWS // len(lo)))
     vs = lo[:, None] + (hi - lo)[:, None] * np.linspace(1e-4, 1.0 - 1e-4, points_per_gap)
-    step = max(1, _XI_TRACE_CELLS // (points_per_gap * len(poles)))
-    blocks = [vs[k:k + step] for k in range(0, len(vs), step)]
-    pairs = [_xi_at(block, locs, wts) for block in blocks]
-    xis = np.concatenate([vals for vals, _ in pairs])
-    slopes = np.concatenate([slopes for _, slopes in pairs])
+    xis, slopes = xi(vs, nu)
     gaps = np.repeat(np.arange(len(vs)), points_per_gap)
     write_table(path, ("gap", "v", "xi", "xi_prime"), gaps, vs.ravel(), xis.ravel(),
                 slopes.ravel(), metadata=metadata)
@@ -330,6 +328,9 @@ def _cmd_phase_diagram(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     spec = _read_measure(args)
     nu = _limit_weight_law(spec, args.quantize)
+    if (atom := nu.mass_at(0.0)) > 0:
+        raise ValueError(f"compare needs nu({{0}}) = 0, got {atom!r}: the limit then has an "
+                         "atom at 0, which the density curve does not carry")
     seq, graph, eigs = _sampled_eigenvalues(args, spec)
     if args.grid is None:
         # the curve's CDF is flat past the support, so the grid need not reach the outlier

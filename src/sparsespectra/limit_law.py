@@ -43,10 +43,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100_000
 DEFAULT_ETA = 1e-6
 DEFAULT_QUANTIZE = 2048
 _MEAN_TOL = 1e-9
+# iterations of a whole continuation solve, read at each call
+_MAX_ITER = 100_000
 # lane·atom cells per residual sweep: 128 kB of complex128 temporaries
 _SWEEP_CELLS = 8192
 # eta factor between continuation stages (1 → 1e-6 is three stages) and the
@@ -159,25 +160,27 @@ def _eta_schedule(eta_final: float) -> list[float]:
     """Geometric 1 → eta_final with factor _ETA_STEP; final entry exact.
 
     Newton carries each stage, so the long step costs only a few
-    iterations per stage; 1 → 1e-6 takes 3 stages.
+    iterations per stage; 1 → 1e-6 takes 3 stages. The repeated product
+    rounds (1e-3⁴ is just above 1e-12), so a stage that is close to
+    eta_final is taken as eta_final itself.
     """
     etas = []
     e = 1.0
-    while e > eta_final:
+    while e > eta_final and not math.isclose(e, eta_final):
         etas.append(e)
         e *= _ETA_STEP
     etas.append(eta_final)
     return etas
 
 
-def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int):
+def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float):
     """Warm-started continuation solve at z = x + i·e for every x in xs.
 
     e runs down the geometric schedule 1 → eta with factor _ETA_STEP (a
     single stage when eta ≥ 1), starting from g = i·min(1, 1/Im z).
     Intermediate stages only hand over a warm start: they stop at residual
     max(tol, _STAGE_TOL) or after 2000 iterations. The final stage enforces
-    `tol` (0 < tol < inf), and `max_iter` bounds the iterations of the
+    `tol` (0 < tol < inf), and _MAX_ITER bounds the iterations of the
     whole solve. Returns (z, g, residual, iterations); raises
     :class:`ConvergenceError` naming the failing points if any lane
     misses `tol`.
@@ -196,7 +199,7 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int):
     for k, e in enumerate(etas):
         final = k == len(etas) - 1
         z = xs + 1j * e
-        budget = max_iter - total_it if final else min(2000, max_iter - total_it)
+        budget = _MAX_ITER - total_it if final else min(2000, _MAX_ITER - total_it)
         g, res, it = _iterate_many(z, locs, wts, g, tol if final else max(tol, _STAGE_TOL), budget)
         total_it += it
     bad = ~(res <= tol)  # a NaN residual fails too
@@ -210,13 +213,7 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float, max_iter: int):
     return z, g, res, total_it
 
 
-def solve_g(
-    x,
-    nu: DiscreteMeasure,
-    eta: float = DEFAULT_ETA,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
+def solve_g(x, nu: DiscreteMeasure, eta: float = DEFAULT_ETA, tol: float = DEFAULT_TOL):
     """Fixed point g at z = x + i·eta for a float x or every x of a 1-D array.
 
     Returns (g, residual, iterations): scalars for a float x, arrays
@@ -227,31 +224,21 @@ def solve_g(
     """
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must lie in (0, inf) (got {eta!r})")
-    _, g, res, iterations = _solve(nu, np.atleast_1d(x), eta, tol, max_iter)
+    _, g, res, iterations = _solve(nu, np.atleast_1d(x), eta, tol)
     if np.ndim(x) == 0:
         return complex(g[0]), float(res[0]), iterations
     return g, res, iterations
 
 
-def stieltjes_mu(
-    z: complex,
-    nu: DiscreteMeasure,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> complex:
+def stieltjes_mu(z: complex, nu: DiscreteMeasure, tol: float = DEFAULT_TOL) -> complex:
     """Cauchy transform f(z) = -(1 + g(z)²)/z of the limit measure (Im z > 0)."""
     z = complex(z)
-    g, _, _ = solve_g(z.real, nu, z.imag, tol=tol, max_iter=max_iter)
+    g, _, _ = solve_g(z.real, nu, z.imag, tol=tol)
     return -(1.0 + g * g) / z
 
 
-def density_mp(
-    x: float,
-    nu: DiscreteMeasure,
-    eta: float = DEFAULT_ETA,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
+def density_mp(x: float, nu: DiscreteMeasure, eta: float = DEFAULT_ETA,
+               tol: float = DEFAULT_TOL) -> float:
     """Density of the square law at x ≠ 0: Im h(x + i·eta)/π.
 
     h(w) = g(z)/z at the principal root z = √w (Re z > 0), with g solved
@@ -263,7 +250,7 @@ def density_mp(
         raise ValueError("eta must lie in (0, 1]")
     z = complex(np.sqrt(complex(x, eta)))
     try:
-        g, _, _ = solve_g(z.real, nu, z.imag, tol=tol, max_iter=max_iter)
+        g, _, _ = solve_g(z.real, nu, z.imag, tol=tol)
     except ConvergenceError as exc:
         raise ConvergenceError(f"square law at x={float(x)!r}, eta={eta!r}: {exc}",
                                exc.best_residual) from None
@@ -287,7 +274,7 @@ def _density_values(x_abs: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarr
 _ZERO_NODES = (0.01, 0.02)
 
 
-def _density_abs(nu: DiscreteMeasure, x_abs: np.ndarray, eta: float, tol: float, max_iter: int):
+def _density_abs(nu: DiscreteMeasure, x_abs: np.ndarray, eta: float, tol: float):
     """Limit density at sorted values x_abs ≥ 0, with residuals and iterations.
 
     A leading 0 is filled in by the even-quadratic extrapolation
@@ -301,7 +288,7 @@ def _density_abs(nu: DiscreteMeasure, x_abs: np.ndarray, eta: float, tol: float,
         raise ValueError("density at 0 undefined when the weight law has mass at 0")
     pos = x_abs[1:] if has_zero else x_abs
     xs = np.unique(np.concatenate([pos, _ZERO_NODES])) if has_zero else pos
-    z, g, res, iterations = _solve(nu, xs, eta, tol, max_iter)
+    z, g, res, iterations = _solve(nu, xs, eta, tol)
     vals = _clamp_density(_density_values(xs, z, g / z))
     at = np.searchsorted(xs, pos)
     rho, residuals = vals[at], res[at]
@@ -384,7 +371,6 @@ def density_curve(
     points: int,
     eta: float = DEFAULT_ETA,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> DensityCurve:
     """Evaluate the limit density on a symmetric grid (one solve per |x|).
 
@@ -395,7 +381,7 @@ def density_curve(
     """
     grid = symmetric_grid(x_max, points)
     x_abs, mirror = np.unique(np.abs(grid), return_inverse=True)
-    rho, residuals, iterations = _density_abs(nu, x_abs, eta, tol, max_iter)
+    rho, residuals, iterations = _density_abs(nu, x_abs, eta, tol)
     rho, residuals = rho[mirror], residuals[mirror]
     mass = float(np.trapezoid(rho, grid))
     return DensityCurve(

@@ -45,6 +45,7 @@ __all__ = [
 
 _HOLE_TOL = 1e-12
 DEFAULT_MIN_GAP = 1e-3
+_XI_CELLS = 1 << 17  # point·atom cells one xi block evaluates at once
 
 
 @dataclass(frozen=True)
@@ -106,21 +107,27 @@ def _positive_atoms(nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
 def xi(v, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     """xi(v) = −1/v + Σ w·d²/(1+v·d) and xi′(v) = 1/v² − Σ w·d³/(1+v·d)².
 
-    Both come from one sweep den = 1 + v⊗d, for a float v or an array;
-    rejects v at a pole (0 or any −1/d).
+    Both come from one sweep den = 1 + v⊗d, for a float v or an array of
+    any shape; rejects v at a pole (0 or any −1/d). The points, flattened,
+    are swept in blocks of at most _XI_CELLS point·atom cells (at least
+    one point), so memory stays bounded on any number of points; each
+    point sums on its own, so the values do not depend on the block size.
     """
-    return _xi_at(v, *_positive_atoms(nu))
-
-
-def _xi_at(v, locs: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`xi` on the positive atoms (locs, wts) of `_positive_atoms`."""
+    locs, wts = _positive_atoms(nu)
     v_arr = np.asarray(v, dtype=float)
-    den = 1.0 + np.multiply.outer(v_arr, locs)
-    if np.any(v_arr == 0) or np.any(den == 0):
-        raise ValueError("xi evaluated at a pole")
-    vals = -1.0 / v_arr + ((wts * locs**2) / den).sum(axis=-1)
-    slopes = 1.0 / v_arr**2 - ((wts * locs**3) / den**2).sum(axis=-1)
-    return vals, slopes
+    flat = v_arr.ravel()
+    vals = np.empty(flat.shape)
+    slopes = np.empty(flat.shape)
+    step = max(1, _XI_CELLS // len(locs))
+    for lo in range(0, len(flat), step):
+        block = flat[lo:lo + step]
+        den = 1.0 + np.multiply.outer(block, locs)
+        if np.any(block == 0) or np.any(den == 0):
+            raise ValueError("xi evaluated at a pole")
+        vals[lo:lo + step] = -1.0 / block + ((wts * locs**2) / den).sum(axis=-1)
+        slopes[lo:lo + step] = 1.0 / block**2 - ((wts * locs**3) / den**2).sum(axis=-1)
+    # [()] turns the 0-d result of a float v into a scalar
+    return vals.reshape(v_arr.shape)[()], slopes.reshape(v_arr.shape)[()]
 
 
 def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -254,18 +261,13 @@ class TwoAtomLaw:
     def q_o(self) -> float:
         return (1.0 - self.beta) / (self.alpha - self.beta)
 
-    @property
-    def q(self) -> float:
-        """Size-biased weight of the alpha atom: q = alpha·q_o."""
-        return self.alpha * self.q_o
-
     def measure(self) -> DiscreteMeasure:
         return DiscreteMeasure((self.beta, self.alpha), (1.0 - self.q_o, self.q_o))
 
 
 def _discriminant(a, b):
     """Edge-cubic discriminant for alpha = a, beta = b; scalars or arrays."""
-    q = a * ((1.0 - b) / (a - b))  # rounds as TwoAtomLaw.q does
+    q = a * ((1.0 - b) / (a - b))  # size-biased weight of alpha: alpha·q_o
     big_a = (a - b) * (a + b) ** 3
     big_b = (a - 2.0 * b) ** 3
     return 4.0 * q * (1.0 - q) * (a - b) ** 2 * (a * big_b - q * big_a)

@@ -217,6 +217,13 @@ def test_sample_normalizes_a_continuous_law(tmp_path):
     assert abs(omega - math.sqrt(2000)) < 0.1 * math.sqrt(2000)
 
 
+def test_sample_rejects_an_omega_that_is_no_rule_or_number(tmp_path, capsys):
+    rc = main(["sample", "--measure", "delta:1", "--n", "50", "--seed", "1", "--omega", "foo",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: omega 'foo': expected a number, 'sqrt' or 'log'\n"
+
+
 @pytest.mark.parametrize("omega", ["nan", "inf"])
 def test_sample_rejects_non_finite_omega(tmp_path, capsys, omega):
     rc = main(["sample", "--measure", "delta:1", "--n", "50", "--seed", "1",
@@ -550,6 +557,15 @@ def test_compare_default_grid_ends_just_past_the_support(tmp_path, monkeypatch):
     assert math.isclose(float(rows[-1][0]), 1.05 * edge + 0.25, rel_tol=1e-12)
 
 
+def test_compare_rejects_a_weight_law_with_mass_at_zero(tmp_path, capsys):
+    # half the eigenvalues sit at 0 while the curve carries mass 1/2: KS read 0.25
+    rc = main(["compare", "--measure", "atoms:0=0.5,2=0.5", "--n", "200", "--seed", "1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "compare needs nu({0}) = 0, got 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "compare_spectrum.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["density", "compare"])
 def test_solver_failure_exits_with_code_one(tmp_path, capsys, monkeypatch, command):
     def fail(*args, **kwargs):
@@ -624,6 +640,15 @@ def test_config_file_supplies_and_flags_override(tmp_path):
     assert rc == 0
     body = (out2 / "sample_edges.txt").read_text()
     assert "# edge_total=120" in body  # flag --n beat the config's 60
+
+
+def test_config_line_without_equals_exits_2_quoting_it(tmp_path, capsys):
+    # read as a key with an empty value, a bare switch turned itself off
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("measure=delta:1\nn=40\nseed=3\n# on\npoissonized\n")
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg} line 5: expected KEY=VALUE, got 'poissonized'\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_required_parameter_exits(tmp_path, capsys):

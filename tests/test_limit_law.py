@@ -73,9 +73,10 @@ def test_rejects_weight_law_with_wrong_mean():
         solve_g(0.0, DiscreteMeasure.from_pairs([(2.0, 1.0)]), 1.0)
 
 
-def test_convergence_error_carries_best_residual():
+def test_convergence_error_carries_best_residual(monkeypatch):
+    monkeypatch.setattr(limit_law, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as info:
-        solve_g(0.5, THREE_ATOM, 1e-9, max_iter=3)
+        solve_g(0.5, THREE_ATOM, 1e-9)
     assert info.value.best_residual is not None
     assert info.value.best_residual > 0
 
@@ -84,13 +85,14 @@ CURVE_NODES = [*symmetric_grid(2.0, 21)[11:], 0.01, 0.02]
 
 
 @pytest.mark.parametrize("call, xs", [
-    (lambda: solve_g(0.5, THREE_ATOM, 1e-6, max_iter=3), [0.5]),
-    (lambda: solve_g(np.array([0.25, 0.5]), THREE_ATOM, 1e-6, max_iter=3), [0.25, 0.5]),
-    (lambda: density_mp(0.5, THREE_ATOM, eta=1e-6, max_iter=3), [0.5]),
-    (lambda: density_curve(THREE_ATOM, x_max=2.0, points=21, eta=1e-6, max_iter=3), CURVE_NODES),
+    (lambda: solve_g(0.5, THREE_ATOM, 1e-6), [0.5]),
+    (lambda: solve_g(np.array([0.25, 0.5]), THREE_ATOM, 1e-6), [0.25, 0.5]),
+    (lambda: density_mp(0.5, THREE_ATOM, eta=1e-6), [0.5]),
+    (lambda: density_curve(THREE_ATOM, x_max=2.0, points=21, eta=1e-6), CURVE_NODES),
 ], ids=["solve_g", "solve_g_array", "density_mp", "density_curve"])
-def test_every_entry_point_fails_through_the_one_continuation(call, xs):
-    # max_iter bounds the whole continuation, so 3 iterations cannot reach eta
+def test_every_entry_point_fails_through_the_one_continuation(monkeypatch, call, xs):
+    # _MAX_ITER bounds the whole continuation, so 3 iterations cannot reach eta
+    monkeypatch.setattr(limit_law, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as info:
         call()
     assert info.value.best_residual > 0
@@ -125,6 +127,17 @@ def halving_schedule(eta_final):
         e *= 0.5
     etas.append(eta_final)
     return etas
+
+
+def test_schedule_takes_one_stage_per_power_of_the_step():
+    # 1e-3 multiplied four times is 1.0000000000000002e-12, just above 1e-12;
+    # that product must not become a stage of its own before the final one
+    assert limit_law._eta_schedule(1e-12) == [1.0, 1e-3, 1e-6, 1e-9, 1e-12]
+    assert limit_law._eta_schedule(1e-9) == [1.0, 1e-3, 1e-6, 1e-9]
+    assert limit_law._eta_schedule(1e-6) == [1.0, 1e-3, 1e-6]
+    assert limit_law._eta_schedule(1e-3) == [1.0, 1e-3]
+    assert limit_law._eta_schedule(0.5) == [1.0, 0.5]
+    assert limit_law._eta_schedule(2.0) == [2.0]
 
 
 def test_loose_long_stages_match_halving(monkeypatch):

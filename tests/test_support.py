@@ -1,6 +1,7 @@
 """Support scans, the inverse-transform criterion, and two-atom closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ def test_xi_prime_matches_finite_differences():
         fd = finite_difference(lambda t: xi(t, THREE_ATOM)[0], v, 1e-5)
         assert abs(fd - xi(v, THREE_ATOM)[1]) <= 1e-6 * max(1.0, abs(fd))
         checked += 1
+
+
+def test_xi_memory_stays_bounded_on_many_points_of_a_wide_law():
+    # all 4096 × 2048 point·atom cells at once peaked at 201 MB
+    nu = quantize_measure(OnePlusExponential(1.0).normalized(), 2048)
+    vs = np.linspace(0.05, 20.0, 4096).reshape(64, 64)
+    tracemalloc.start()
+    try:
+        vals, slopes = xi(vs, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert vals.shape == slopes.shape == vs.shape
+    scalar = [xi(float(v), nu) for v in vs.ravel()]
+    assert vals.ravel().tolist() == [value for value, _ in scalar]
+    assert slopes.ravel().tolist() == [slope for _, slope in scalar]
 
 
 def test_xi_vectorized_matches_scalar():
