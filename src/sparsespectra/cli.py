@@ -20,8 +20,9 @@ no defaults). A groups block takes a continuous law, not two-atom.
 
 Every law but a groups spec is rescaled to unit mean once; a continuous
 law is then sampled i.i.d. on the graph side and quantized on the limit-law
-side. The groups form feeds the mixed-regime degree builder and is only
-meaningful for sampling commands.
+side. The groups form feeds the mixed-regime degree builder, is only
+meaningful for sampling commands and takes no omega: each block sets its
+own scale.
 
 Each command takes only the flags it reads (see `sparsespectra COMMAND -h`,
 which prints every default). A config file (--config, key=value lines, '#'
@@ -169,10 +170,16 @@ def _limit_weight_law(spec, quantize_m: int) -> DiscreteMeasure:
 
 
 def _sampled_graph(args: argparse.Namespace, spec, poissonized: bool):
-    """Degree sequence from the sampling flags and one multigraph on it."""
+    """Degree sequence from the sampling flags and one multigraph on it. A
+    groups spec takes no omega; any other reads it, storing the default 'sqrt'
+    in `args` so that headers echo it."""
     if isinstance(spec, list):
+        if args.omega is not None:
+            raise ValueError(f"omega {args.omega!r} does not apply to a groups spec: "
+                             "each block sets its own scale")
         seq = build_grouped_degrees(spec, args.n, seed=args.seed)
     else:
+        args.omega = "sqrt" if args.omega is None else args.omega
         try:
             scale = _resolve_scale(args.omega, args.n)
         except ValueError:
@@ -379,8 +386,8 @@ def _cmd_couple(args: argparse.Namespace) -> int:
 _FLAGS = {
     "--measure": dict(required=True, help="weight-law spec (see --help of the program)"),
     "--n": dict(type=int, required=True, help="number of vertices"),
-    "--omega": dict(default="sqrt",
-                    help="mean-degree rule: a number, 'sqrt' or 'log' (default %(default)s)"),
+    "--omega": dict(help="mean-degree rule: a number, 'sqrt' or 'log' (default sqrt;"
+                         " a groups spec takes none)"),
     "--seed": dict(type=int, required=True, help="RNG seed"),
     "--poissonized": dict(action="store_true",
                           help="Poisson edge counts instead of a configuration matching"),

@@ -148,7 +148,11 @@ class DegreeGroup:
                              f" in (0, 1) (got {count!r})")
         if not isinstance(self.law, ContinuousLaw):
             raise ValueError(f"group law must be a continuous law (got {self.law!r})")
-        if not isinstance(self.scale, str) and not 0 < self.scale < math.inf:
+        if isinstance(self.scale, str):
+            if self.scale not in ("sqrt", "log"):
+                raise ValueError("group scale must be 'sqrt', 'log' or a positive number"
+                                 f" (got {self.scale!r})")
+        elif not 0 < self.scale < math.inf:
             raise ValueError(f"group scale must be positive and finite (got {self.scale!r})")
 
     def resolve_count(self, n: int) -> int | None:

@@ -1,6 +1,6 @@
 """Random multigraph samplers and adjacency matrices.
 
-Three samplers share the :class:`Multigraph` output type:
+Two samplers share the :class:`Multigraph` output type:
 
 * :func:`sample_configuration` — uniform half-edge matching for a fixed
   degree sequence (degrees reproduced exactly, loops count 2);
@@ -8,10 +8,7 @@ Three samplers share the :class:`Multigraph` output type:
   with pair rates D_i·D_j/(n·omega), a surrogate whose spectrum tracks the
   configuration model's. Equal degrees give equal rates, so it draws one
   Poisson total per pair of degree classes and spreads it uniformly over
-  that class pair's vertex pairs: O(K² + |E|) for K distinct degrees;
-* :func:`extend_configuration` — grows an existing configuration sample to
-  a larger degree sequence so that the result is again a configuration
-  sample (the marked-half-edge coupling, run in the extension direction).
+  that class pair's vertex pairs: O(K² + |E|) for K distinct degrees.
 
 :func:`scaled_adjacency` turns a sample into the plain dense ndarray
 A/sqrt(omega), symmetric by construction, whose spectrum the limit law
@@ -38,7 +35,6 @@ __all__ = [
     "Multigraph",
     "sample_configuration",
     "sample_poissonized",
-    "extend_configuration",
     "scaled_adjacency",
     "scaled_adjacency_pair",
     "scaled_adjacency_distance",
@@ -92,10 +88,6 @@ class Multigraph:
     def edge_total(self) -> int:
         """Edges counted with multiplicity, loops included."""
         return int(self.mult.sum())
-
-    def edge_instances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoints of every edge instance (loops appear as (v, v))."""
-        return np.repeat(self.edges_i, self.mult), np.repeat(self.edges_j, self.mult)
 
     # -- adjacency ----------------------------------------------------
 
@@ -239,71 +231,6 @@ def sample_poissonized(seq: DegreeSequence, seed=None) -> Multigraph:
     ii = np.concatenate([members[first[ea] + u], loops])
     jj = np.concatenate([members[first[eb] + v], loops])
     return Multigraph.from_instances(n, ii, jj)
-
-
-def extend_configuration(
-    g: Multigraph, new_degrees: DegreeSequence, seed=None
-) -> Multigraph:
-    """Grow a configuration sample to larger degrees, staying exact.
-
-    Vertex i keeps its degree(g) old half-edges and gains
-    new_degrees_i − degree_i fresh ones. The output is distributed exactly
-    as a configuration sample of `new_degrees`, and whenever an old edge
-    survives it is present with both original endpoints.
-
-    The construction is the conditional law of the big matching given that
-    its restriction to the old half-edges reproduces g: first the number j
-    of old edges to drop is sampled with weight
-
-        C(m, j) · r!/(r−2j)! · (r−2j−1)!! / (2j−1)!!
-
-    (m old edge instances, r fresh half-edges), then a uniform j-subset of
-    old edges is dropped, their 2j freed endpoints are matched to distinct
-    uniform fresh half-edges, and the remaining fresh half-edges are
-    matched uniformly among themselves.
-    """
-    rng = np.random.default_rng(seed)
-    old_deg = g.degrees()
-    new_deg = new_degrees.as_array()
-    if new_degrees.n != g.n:
-        raise ValueError("vertex counts differ")
-    if np.any(new_deg < old_deg):
-        bad = int(np.flatnonzero(new_deg < old_deg)[0])
-        raise ValueError(f"vertex {bad}: new degree {new_deg[bad]} < current {old_deg[bad]}")
-    extra = new_deg - old_deg
-    r = int(extra.sum())
-    if r == 0:
-        return g
-    m = g.edge_total
-    jmax = min(m, r // 2)
-    # ratio of consecutive weights: w(j+1)/w(j) = (m−j)(r−2j) / ((j+1)(2j+1))
-    js = np.arange(jmax)
-    ratios = (m - js) * (r - 2 * js) / ((js + 1) * (2 * js + 1))
-    logw = np.concatenate([[0.0], np.cumsum(np.log(ratios))])
-    w = np.exp(logw - logw.max())
-    j = int(rng.choice(jmax + 1, p=w / w.sum()))
-
-    ii, jj = g.edge_instances()
-    keep = np.ones(m, dtype=bool)
-    freed: list[np.ndarray] = []
-    if j > 0:
-        dropped = rng.choice(m, size=j, replace=False)
-        keep[dropped] = False
-        freed = [ii[dropped], jj[dropped]]
-    red_stubs = np.repeat(np.arange(g.n, dtype=np.int64), extra)
-    rng.shuffle(red_stubs)
-    out_i = [ii[keep]]
-    out_j = [jj[keep]]
-    if j > 0:
-        blue_ends = np.concatenate(freed)
-        out_i.append(blue_ends)
-        out_j.append(red_stubs[: 2 * j])
-    rest = red_stubs[2 * j:]
-    if rest.size:
-        pairs = rest.reshape(-1, 2)
-        out_i.append(pairs[:, 0])
-        out_j.append(pairs[:, 1])
-    return Multigraph.from_instances(g.n, np.concatenate(out_i), np.concatenate(out_j))
 
 
 def scaled_adjacency(g: Multigraph, omega: float, single: bool = False) -> np.ndarray:

@@ -73,7 +73,8 @@ def matching_distribution(degrees) -> dict[tuple, float]:
 
 def graph_key(graph) -> tuple:
     """Canonical edge-multiset key of a Multigraph (matches the enumerator)."""
-    ii, jj = graph.edge_instances()
+    ii = np.repeat(graph.edges_i, graph.mult)
+    jj = np.repeat(graph.edges_j, graph.mult)
     return tuple(sorted((min(a, b), max(a, b)) for a, b in zip(ii.tolist(), jj.tolist())))
 
 

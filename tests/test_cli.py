@@ -243,6 +243,34 @@ def test_sample_rejects_bad_group_scale(tmp_path, capsys, scale):
     assert f"group scale must be positive and finite (got {float(scale)!r})" in capsys.readouterr().err
 
 
+_GROUPS = "groups:sqrt@one-plus-exponential(rate=1)@sqrt;rest@uniform(low=0,high=2)@log"
+
+
+@pytest.mark.parametrize("command", ["sample", "esd", "couple"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_groups_spec_rejects_an_omega(tmp_path, capsys, command, source):
+    # each block sets its own scale, so an omega would be ignored and echoed
+    argv = [command, "--measure", _GROUPS, "--n", "100", "--seed", "1",
+            "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--omega", "10"]
+    else:
+        (tmp_path / "run.cfg").write_text("omega=10\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: omega '10' does not apply to a groups spec: "
+                                       "each block sets its own scale\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("spec,omega_lines", [(_GROUPS, []), ("delta:1", ["# omega=sqrt"])])
+def test_sample_header_echoes_omega_only_when_it_is_used(tmp_path, spec, omega_lines):
+    rc = main(["sample", "--measure", spec, "--n", "100", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    header = (tmp_path / "sample_edges.txt").read_text().splitlines()
+    assert [line for line in header if line.startswith("# omega=")] == omega_lines
+
+
 @pytest.mark.parametrize("command,spec,name", [
     ("sample", "one-plus-exponential:rate=nan", "rate"),
     ("density", "one-plus-exponential:rate=nan", "rate"),

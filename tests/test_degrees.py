@@ -1,6 +1,7 @@
 """Degree sequences: builders, the odd-sum fix, normalized-degree law."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,3 +175,10 @@ def test_grouped_degrees_reject_specs_covering_no_vertex(counts, n, message):
     groups = [DegreeGroup(c, UniformLaw(0.0, 2.0), "log") for c in counts]
     with pytest.raises(ValueError, match=message):
         build_grouped_degrees(groups, n=n, seed=0)
+
+
+@pytest.mark.parametrize("scale", ["foo", "SQRT", ""])
+def test_degree_group_rejects_an_unknown_scale_rule_when_built(scale):
+    expected = f"group scale must be 'sqrt', 'log' or a positive number (got {scale!r})"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        DegreeGroup(count="rest", law=UniformLaw(0.0, 2.0), scale=scale)

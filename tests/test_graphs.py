@@ -1,4 +1,4 @@
-"""Multigraph samplers: exactness, uniformity, coupling extension, matrices."""
+"""Multigraph samplers: exactness, uniformity, matrices."""
 
 import math
 import re
@@ -13,7 +13,6 @@ from sparsespectra import (
     Multigraph,
     build_degree_sequence,
     eigenvalues_symmetric,
-    extend_configuration,
     sample_configuration,
     sample_poissonized,
     scaled_adjacency,
@@ -188,88 +187,6 @@ def test_poissonized_memory_grows_with_edges_not_pairs():
         tracemalloc.stop()
     assert g.edge_total > 150_000
     assert peak < 200 * g.edge_total
-
-
-# -- blue-marking extension -----------------------------------------------------
-
-
-def test_extension_identity_when_degrees_unchanged():
-    seq = seq_of(3, 2, 1, 2)
-    for seed in range(10):
-        g = sample_configuration(seq, seed=seed)
-        same = extend_configuration(g, seq, seed=seed + 99)
-        assert graph_key(same) == graph_key(g)
-
-
-def test_extension_rejects_decreasing_degrees():
-    g = sample_configuration(seq_of(2, 2), seed=0)
-    with pytest.raises(ValueError):
-        extend_configuration(g, seq_of(1, 1), seed=1)
-
-
-def test_extension_from_empty_graph_is_plain_sample():
-    # no blue half-edges: the output law is the target configuration model
-    target = matching_distribution([2, 2])
-    counts = {}
-    trials = 30_000
-    for seed in range(trials):
-        g = extend_configuration(empty_graph(2), seq_of(2, 2), seed=seed)
-        key = graph_key(g)
-        counts[key] = counts.get(key, 0) + 1
-    empirical = {k: v / trials for k, v in counts.items()}
-    assert total_variation(empirical, target) < 0.02
-
-
-def test_extension_law_one_edge_to_two_two():
-    # [1,1] -> [2,2] must reproduce the uniform [2,2] configuration law
-    target = matching_distribution([2, 2])
-    counts = {}
-    trials = 100_000
-    for seed in range(trials):
-        start = sample_configuration(seq_of(1, 1), seed=seed)
-        g = extend_configuration(start, seq_of(2, 2), seed=seed + 1_000_000)
-        key = graph_key(g)
-        counts[key] = counts.get(key, 0) + 1
-    empirical = {k: v / trials for k, v in counts.items()}
-    assert total_variation(empirical, target) < 0.02
-
-
-def test_extension_law_with_fresh_vertex():
-    # [1,1,0] -> [1,1,2]: exact law is {edge01+loop2: 1/3, path 0-2-1: 2/3}
-    target = matching_distribution([1, 1, 2])
-    assert target[((0, 1), (2, 2))] == pytest.approx(1 / 3)
-    counts = {}
-    trials = 60_000
-    for seed in range(trials):
-        start = sample_configuration(seq_of(1, 1, 0), seed=seed)
-        g = extend_configuration(start, seq_of(1, 1, 2), seed=seed + 1_000_000)
-        key = graph_key(g)
-        counts[key] = counts.get(key, 0) + 1
-    empirical = {k: v / trials for k, v in counts.items()}
-    assert total_variation(empirical, target) < 0.02
-
-
-def test_extension_law_eight_stub_case():
-    # [2,2,0] -> [2,2,4]: richer case exercising the drop-count weights
-    target = matching_distribution([2, 2, 4])
-    counts = {}
-    trials = 60_000
-    for seed in range(trials):
-        start = sample_configuration(seq_of(2, 2, 0), seed=seed)
-        g = extend_configuration(start, seq_of(2, 2, 4), seed=seed + 1_000_000)
-        key = graph_key(g)
-        counts[key] = counts.get(key, 0) + 1
-    empirical = {k: v / trials for k, v in counts.items()}
-    assert total_variation(empirical, target) < 0.02
-
-
-def test_extension_degrees_exact():
-    seq0 = seq_of(1, 1, 2)
-    seq1 = seq_of(3, 1, 4)
-    for seed in range(20):
-        g = sample_configuration(seq0, seed=seed)
-        out = extend_configuration(g, seq1, seed=seed + 7)
-        assert out.degrees().tolist() == [3, 1, 4]
 
 
 # -- adjacency matrices ----------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The package namespace: every exported name resolves, nothing else is exported, and
-the benchmark tracer still finds every name it wraps."""
+"""The package namespace: every exported name resolves, nothing else is exported, the
+README's library example runs as written, and the benchmark tracer still finds every
+name it wraps."""
 
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -25,6 +27,15 @@ def test_every_module_export_resolves_and_the_package_exports_their_union():
     assert set(sparsespectra.__all__) == union
     for name in sparsespectra.__all__:
         assert hasattr(sparsespectra, name), name
+
+
+def test_the_readme_library_quick_start_runs_as_written(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.partition(":")[0] for line in printed] == ["KS distance to the limit", "support"]
 
 
 def test_the_benchmark_tracer_wraps_every_function_and_method_it_names():
