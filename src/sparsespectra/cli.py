@@ -40,7 +40,7 @@ import sys
 
 import numpy as np
 
-from .degrees import DegreeGroup, _resolve_scale, build_degree_sequence, build_grouped_degrees
+from .degrees import DegreeGroup, build_degree_sequence, build_grouped_degrees
 from .families import OnePlusExponential, UniformLaw
 from .graphs import (sample_configuration, sample_poissonized, scaled_adjacency,
                      scaled_adjacency_distance, scaled_adjacency_pair)
@@ -180,11 +180,7 @@ def _sampled_graph(args: argparse.Namespace, spec, poissonized: bool):
         seq = build_grouped_degrees(spec, args.n, seed=args.seed)
     else:
         args.omega = "sqrt" if args.omega is None else args.omega
-        try:
-            scale = _resolve_scale(args.omega, args.n)
-        except ValueError:
-            raise ValueError(f"omega {args.omega!r}: expected a number, 'sqrt' or 'log'") from None
-        seq = build_degree_sequence(spec, args.n, scale, seed=args.seed)
+        seq = build_degree_sequence(spec, args.n, args.omega, seed=args.seed)
     sampler = sample_poissonized if poissonized else sample_configuration
     return seq, sampler(seq, seed=args.seed + 1)
 

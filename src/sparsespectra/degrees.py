@@ -87,7 +87,10 @@ def _resolve_scale(rule: str | float, n: int) -> float:
         return math.sqrt(n)
     if rule == "log":
         return math.log(n)
-    return float(rule)
+    try:
+        return float(rule)
+    except ValueError:
+        raise ValueError(f"omega {rule!r}: expected a number, 'sqrt' or 'log'") from None
 
 
 def _even_sequence(degrees: np.ndarray) -> DegreeSequence:
@@ -101,10 +104,11 @@ def _even_sequence(degrees: np.ndarray) -> DegreeSequence:
 
 
 def build_degree_sequence(
-    law: DiscreteMeasure | ContinuousLaw, n: int, omega_target: float, seed=None
+    law: DiscreteMeasure | ContinuousLaw, n: int, omega_target: str | float, seed=None
 ) -> DegreeSequence:
     """Realize integer degrees floor(omega_target · t_i) for n vertices.
 
+    omega_target is "sqrt", "log" or a number, as a DegreeGroup scale.
     A DiscreteMeasure gives each atom a largest-remainder share of the n
     vertices, t_i its location; a ContinuousLaw draws t_i i.i.d. from
     `seed`. If the total comes out odd the last vertex gains one half-edge,
@@ -113,6 +117,7 @@ def build_degree_sequence(
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    omega_target = _resolve_scale(omega_target, n)
     if not 1 <= omega_target < math.inf:
         raise ValueError(f"omega_target must be finite and >= 1 (got {omega_target!r})")
     if isinstance(law, DiscreteMeasure):

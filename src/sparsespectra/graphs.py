@@ -6,9 +6,9 @@ Two samplers share the :class:`Multigraph` output type:
   degree sequence (degrees reproduced exactly, loops count 2);
 * :func:`sample_poissonized` — independent Poisson edge multiplicities
   with pair rates D_i·D_j/(n·omega), a surrogate whose spectrum tracks the
-  configuration model's. Equal degrees give equal rates, so it draws one
-  Poisson total per pair of degree classes and spreads it uniformly over
-  that class pair's vertex pairs: O(K² + |E|) for K distinct degrees.
+  configuration model's. As n·omega is the total degree S, this is
+  Poisson(S/2) edges whose ends are drawn uniformly, with replacement,
+  from the same half-edges: stub matching with replacement.
 
 :func:`scaled_adjacency` turns a sample into the plain dense ndarray
 A/sqrt(omega), symmetric by construction, whose spectrum the limit law
@@ -176,6 +176,10 @@ def _reject_outside(n: int, lo: np.ndarray, hi: np.ndarray) -> None:
         raise ValueError(f"vertex id {outside[0]} outside [0, {n})")
 
 
+def _half_edges(seq: DegreeSequence) -> np.ndarray:
+    return np.repeat(np.arange(seq.n, dtype=np.int64), seq.as_array())
+
+
 def sample_configuration(seq: DegreeSequence, seed=None) -> Multigraph:
     """Uniform perfect matching on the half-edges of `seq`.
 
@@ -185,7 +189,7 @@ def sample_configuration(seq: DegreeSequence, seed=None) -> Multigraph:
     exactly on every draw; a self-pair becomes one loop (degree 2).
     """
     rng = np.random.default_rng(seed)
-    stubs = np.repeat(np.arange(seq.n, dtype=np.int64), seq.as_array())
+    stubs = _half_edges(seq)
     rng.shuffle(stubs)
     pairs = stubs.reshape(-1, 2)
     return Multigraph.from_instances(seq.n, pairs[:, 0], pairs[:, 1])
@@ -196,41 +200,16 @@ def sample_poissonized(seq: DegreeSequence, seed=None) -> Multigraph:
 
     Every unordered vertex pair {i,j} receives an independent Poisson
     count with that rate; each vertex receives Poisson(D_i²/(2·n·omega))
-    loops. Degrees then hold only in expectation (mean degree of a
-    degree-class matches omega times its normalized degree for unit-mean
-    laws).
-
-    Rates depend only on the two degree classes, so each class pair a ≤ b
-    gets one Poisson total (the pair rate times c_a·c_b vertex pairs, or
-    c_a(c_a−1)/2 within a class) spread uniformly over those pairs, and each
-    class one loop total: by Poisson splitting the same law, in O(K² + |E|)
-    time and memory for K distinct degrees instead of O(n²).
+    loops. Degrees then hold only in expectation. As n·omega is the total
+    degree S, each rate is S/2 times the chance that two half-edges drawn
+    uniformly with replacement land on {i,j} (2·D_i·D_j/S², or D_i²/S² for
+    a loop), so by Poisson splitting the graph is Poisson(S/2) such draws:
+    stub matching with replacement, in O(n + |E|).
     """
     rng = np.random.default_rng(seed)
-    n = seq.n
-    if seq.omega == 0:  # no half-edges at all: the empty graph
-        empty = np.empty(0, dtype=np.int64)
-        return Multigraph(n, empty, empty, empty)
-    degs = seq.as_array()
-    values, sizes = np.unique(degs, return_counts=True)
-    members = np.argsort(degs, kind="stable")  # vertices grouped class by class
-    first = np.cumsum(sizes) - sizes  # each class's offset into `members`
-    d = values * (1.0 / math.sqrt(n * seq.omega))
-    a, b = np.nonzero(np.tri(values.size, dtype=bool).T)  # class pairs a <= b
-    same = a == b
-    vertex_pairs = np.where(same, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
-    totals = rng.poisson(np.concatenate([d[a] * d[b] * vertex_pairs, 0.5 * d * d * sizes]))
-    ea, eb, esame = (np.repeat(x, totals[:a.size]) for x in (a, b, same))
-    la = np.repeat(np.arange(values.size), totals[a.size:])
-    # offsets into the classes: u in a's, v in b's (skipping u within a
-    # class), then one per loop
-    offsets = rng.integers(0, np.concatenate([sizes[ea], sizes[eb] - esame, sizes[la]]))
-    u, v, w = offsets[:ea.size], offsets[ea.size:2 * ea.size], offsets[2 * ea.size:]
-    v += esame & (v >= u)
-    loops = members[first[la] + w]
-    ii = np.concatenate([members[first[ea] + u], loops])
-    jj = np.concatenate([members[first[eb] + v], loops])
-    return Multigraph.from_instances(n, ii, jj)
+    stubs = _half_edges(seq)
+    ends = stubs[rng.integers(0, stubs.size, size=(rng.poisson(stubs.size / 2), 2))]
+    return Multigraph.from_instances(seq.n, ends[:, 0], ends[:, 1])
 
 
 def scaled_adjacency(g: Multigraph, omega: float, single: bool = False) -> np.ndarray:

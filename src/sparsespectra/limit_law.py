@@ -160,13 +160,14 @@ def _eta_schedule(eta_final: float) -> list[float]:
     """Geometric 1 → eta_final with factor _ETA_STEP; final entry exact.
 
     Newton carries each stage, so the long step costs only a few
-    iterations per stage; 1 → 1e-6 takes 3 stages. The repeated product
-    rounds (1e-3⁴ is just above 1e-12), so a stage that is close to
-    eta_final is taken as eta_final itself.
+    iterations per stage; 1 → 1e-6 takes 3 stages. A last intermediate
+    stage within a factor 2 of eta_final would only repeat it, so it
+    merges into the final stage (this also absorbs rounding: 1e-3⁴ is just
+    above 1e-12).
     """
     etas = []
     e = 1.0
-    while e > eta_final and not math.isclose(e, eta_final):
+    while e >= 2 * eta_final:
         etas.append(e)
         e *= _ETA_STEP
     etas.append(eta_final)
@@ -177,7 +178,7 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float):
     """Warm-started continuation solve at z = x + i·e for every x in xs.
 
     e runs down the geometric schedule 1 → eta with factor _ETA_STEP (a
-    single stage when eta ≥ 1), starting from g = i·min(1, 1/Im z).
+    single stage when eta > 1/2), starting from g = i·min(1, 1/Im z).
     Intermediate stages only hand over a warm start: they stop at residual
     max(tol, _STAGE_TOL) or after 2000 iterations. The final stage enforces
     `tol` (0 < tol < inf), and _MAX_ITER bounds the iterations of the

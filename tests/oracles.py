@@ -71,6 +71,33 @@ def matching_distribution(degrees) -> dict[tuple, float]:
     return {k: v / total for k, v in counts.items()}
 
 
+def poissonized_distribution(degrees, max_edges: int) -> tuple[dict[tuple, float], float]:
+    """Exact outcome law of independent Poisson edge counts, up to max_edges.
+
+    Pair {i,j} (i < j) carries Poisson(D_i·D_j/(n·omega)) edges and vertex v
+    Poisson(D_v²/(2·n·omega)) loops, with n·omega = Σ D; the pmf is the
+    product over all pairs and loops. Keys are those of
+    `matching_distribution`. Every multigraph with at most max_edges edges
+    is listed; the second value is the mass of the rest, 1 − Σ pmf.
+    """
+    d = [int(x) for x in degrees]
+    n_omega = float(sum(d))
+    cells = [(i, j) for i in range(len(d)) for j in range(i, len(d))]
+    rates = [d[i] * d[j] / n_omega * (0.5 if i == j else 1.0) for i, j in cells]
+    law: dict[tuple, float] = {}
+
+    def rec(k: int, left: int, prob: float, acc: list[tuple[int, int]]) -> None:
+        if k == len(cells):
+            law[tuple(sorted(acc))] = prob
+            return
+        for m in range(left + 1):
+            pmf = math.exp(-rates[k]) * rates[k] ** m / math.factorial(m)
+            rec(k + 1, left - m, prob * pmf, acc + [cells[k]] * m)
+
+    rec(0, max_edges, 1.0, [])
+    return law, 1.0 - sum(law.values())
+
+
 def graph_key(graph) -> tuple:
     """Canonical edge-multiset key of a Multigraph (matches the enumerator)."""
     ii = np.repeat(graph.edges_i, graph.mult)

@@ -20,7 +20,7 @@ from sparsespectra import (
     scaled_adjacency_pair,
 )
 
-from oracles import graph_key, matching_distribution, total_variation
+from oracles import graph_key, matching_distribution, poissonized_distribution, total_variation
 from sparsespectra.tables import _BLOCK_ROWS
 
 
@@ -125,6 +125,24 @@ def test_poissonized_pair_rate_two_vertices():
     assert abs(mean - omega / 2) / (omega / 2) < 0.02
 
 
+def test_poissonized_matches_the_product_poisson_law():
+    # degrees (1, 1): one edge at rate 1/2 and a loop at rate 1/4 per vertex,
+    # Poisson(1) edges in all; graphs past 8 edges hold 1.1e-6 of the mass
+    target, tail = poissonized_distribution([1, 1], max_edges=8)
+    assert tail < 2e-6
+    trials = 20_000
+    counts = {}
+    for seed in range(trials):
+        key = graph_key(sample_poissonized(seq_of(1, 1), seed=seed))
+        counts[key] = counts.get(key, 0) + 1
+    empirical = {k: v / trials for k, v in counts.items()}
+    # E[TV] ≈ Σ_k sqrt(p_k(1 − p_k)/(2π·trials)) = 0.0112 here; one trial moves
+    # TV by at most 1/trials, so by McDiarmid it exceeds its mean by
+    # sqrt(ln(1e6)/(2·trials)) = 0.0186 with chance below 1e-6
+    expected = sum(math.sqrt(p * (1 - p) / (2 * math.pi * trials)) for p in target.values())
+    assert total_variation(empirical, target) < expected + math.sqrt(math.log(1e6) / (2 * trials)) + tail
+
+
 def test_poissonized_mean_degree_tracks_class_value():
     # two classes at n=2000: empirical mean degree within 2% of omega * d_a
     n = 2000
@@ -147,8 +165,8 @@ def test_poissonized_all_zero_degrees_gives_empty_graph():
 
 
 @pytest.mark.parametrize("degrees, trials", [
-    ((4, 4, 6, 6, 6), 20_000),  # two classes of sizes 2 and 3
-    ((2, 4, 4, 6), 8_000),  # size-1 classes: no within-class pairs
+    ((4, 4, 6, 6, 6), 20_000),  # two degree values, each repeated
+    ((2, 4, 4, 6), 8_000),  # one repeated degree between two single ones
     ((0, 1, 2, 3, 4, 6), 8_000),  # all degrees distinct, one of them 0
 ])
 def test_poissonized_pair_counts_are_independent_poisson(degrees, trials):

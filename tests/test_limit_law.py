@@ -136,6 +136,8 @@ def test_schedule_takes_one_stage_per_power_of_the_step():
     assert limit_law._eta_schedule(1e-9) == [1.0, 1e-3, 1e-6, 1e-9]
     assert limit_law._eta_schedule(1e-6) == [1.0, 1e-3, 1e-6]
     assert limit_law._eta_schedule(1e-3) == [1.0, 1e-3]
+    # a last stage within a factor 2 of eta merges into the final one
+    assert limit_law._eta_schedule(9.9e-4) == [1.0, 9.9e-4]
     assert limit_law._eta_schedule(0.5) == [1.0, 0.5]
     assert limit_law._eta_schedule(2.0) == [2.0]
 

@@ -1,7 +1,8 @@
 """The package namespace: every exported name resolves, nothing else is exported, the
-README's library example runs as written, and the benchmark tracer still finds every
-name it wraps."""
+command line reaches no private name of a package module, the README's library example
+runs as written, and the benchmark tracer still finds every name it wraps."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -27,6 +28,17 @@ def test_every_module_export_resolves_and_the_package_exports_their_union():
     assert set(sparsespectra.__all__) == union
     for name in sparsespectra.__all__:
         assert hasattr(sparsespectra, name), name
+
+
+def test_the_cli_imports_no_private_name_from_a_package_module():
+    # a private helper the CLI needs belongs behind a public entry of its module
+    cli = pathlib.Path(importlib.import_module("sparsespectra.cli").__file__)
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse(cli.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("sparsespectra"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_the_readme_library_quick_start_runs_as_written(capsys):
