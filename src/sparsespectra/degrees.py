@@ -60,8 +60,14 @@ class DegreeSequence:
 
     @classmethod
     def load(cls, path) -> "DegreeSequence":
+        degs = []
         with open(path) as fh:
-            degs = [int(line) for line in fh if line.strip()]
+            for line in filter(str.strip, fh):
+                try:
+                    degs.append(int(line))
+                except ValueError:
+                    raise ValueError(f"{path}: degree line {line.strip()!r} is not an "
+                                     "integer") from None
         return cls(degs)
 
 

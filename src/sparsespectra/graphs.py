@@ -143,16 +143,20 @@ class Multigraph:
                 if line.startswith("#"):
                     body = line[1:].strip()
                     if body.startswith("n="):
-                        n = int(body[2:])
+                        try:
+                            n = int(body[2:])
+                        except ValueError:
+                            raise ValueError(f"{path}: edge-list header {line!r} does not give "
+                                             "n as an integer") from None
                     continue
                 try:
                     i, j, m = (int(tok) for tok in line.split())
                 except ValueError:
-                    raise ValueError(f"edge-list line {line!r} is not three integers "
+                    raise ValueError(f"{path}: edge-list line {line!r} is not three integers "
                                      "'i j mult'") from None
                 rows.append((min(i, j), max(i, j), m))
         if n is None:
-            raise ValueError("edge-list file lacks the '# n=' header")
+            raise ValueError(f"{path}: edge-list file lacks the '# n=' header")
         ii, jj, mm = np.array(rows, dtype=np.int64).reshape(-1, 3).T
         order = np.lexsort((jj, ii))
         return cls(n, ii[order], jj[order], mm[order])

@@ -6,18 +6,17 @@ the upper-half-plane fixed point
 
     g(z) = -E[ D / (z + g(z)·D) ],   Im z > 0,  Im g > 0,
 
-with companion transforms h(z²) = g(z)/z and f(z) = -(1 + g(z)²)/z; f is
-the Cauchy transform of the symmetric limit measure itself, so its
-boundary imaginary part recovers the density. One routine solves the
-fixed point for every entry point, with one failure path: warm-started
-geometric continuation in the imaginary offset with factor 1e-3, each stage
-a damped iteration with a guarded Newton step from the first iteration.
+and the Cauchy transform of the symmetric limit measure is
+f(z) = -(1 + g(z)²)/z, so Im f(x + i·eta)/π is the limit density smoothed
+by a Poisson kernel of width eta. One routine solves the fixed point for
+every entry point, with one failure path: warm-started geometric
+continuation in the imaginary offset with factor 1e-3, each stage a damped
+iteration with a guarded Newton step from the first iteration.
 Intermediate stages only hand over a warm start and stop at a loose
 residual; the final stage alone enforces the requested tolerance.
 Each iteration sweeps lanes × atoms in cache-sized lane blocks whose
-results do not depend on the block size. The module evaluates the
-square-law density, its symmetrized square root, and the limit density
-proper.
+results do not depend on the block size. The module evaluates f at a
+point and the limit density on a symmetric grid.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "DensityCurve",
     "solve_g",
     "stieltjes_mu",
-    "density_mp",
     "density_curve",
     "quantize_measure",
     "symmetric_grid",
@@ -218,10 +216,13 @@ def solve_g(x, nu: DiscreteMeasure, eta: float = DEFAULT_ETA, tol: float = DEFAU
     """Fixed point g at z = x + i·eta for a float x or every x of a 1-D array.
 
     Returns (g, residual, iterations): scalars for a float x, arrays
-    (iterations still one count) for an array; the square-law transform
-    is h = g/z. eta may be any value in (0, inf), and eta ≥ 1 is a single
-    continuation stage. Raises :class:`ConvergenceError` naming the
-    failing points if any lane misses `tol`.
+    (iterations still one count) for an array. eta may be any value in
+    (0, inf), and eta ≥ 1 is a single continuation stage. Raises
+    :class:`ConvergenceError` naming the failing points if any lane misses
+    `tol`.
+
+    `tol` bounds the residual |F(g)| at which a lane stops; g itself is
+    accurate to about tol/|F′(g)|, which grows near soft edges (F′ → 0).
     """
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must lie in (0, inf) (got {eta!r})")
@@ -231,45 +232,18 @@ def solve_g(x, nu: DiscreteMeasure, eta: float = DEFAULT_ETA, tol: float = DEFAU
     return g, res, iterations
 
 
-def stieltjes_mu(z: complex, nu: DiscreteMeasure, tol: float = DEFAULT_TOL) -> complex:
-    """Cauchy transform f(z) = -(1 + g(z)²)/z of the limit measure (Im z > 0)."""
-    z = complex(z)
-    g, _, _ = solve_g(z.real, nu, z.imag, tol=tol)
+def _cauchy(z, g):
+    """The limit measure's Cauchy transform at z from the fixed point g there."""
     return -(1.0 + g * g) / z
 
 
-def density_mp(x: float, nu: DiscreteMeasure, eta: float = DEFAULT_ETA,
-               tol: float = DEFAULT_TOL) -> float:
-    """Density of the square law at x ≠ 0: Im h(x + i·eta)/π.
-
-    h(w) = g(z)/z at the principal root z = √w (Re z > 0), with g solved
-    by :func:`solve_g` at Re z and offset Im z; a failure names x and eta.
-    """
-    if x == 0 or not math.isfinite(x):
-        raise ValueError(f"x must be finite and nonzero (got {float(x)!r})")
-    if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
-    z = complex(np.sqrt(complex(x, eta)))
-    try:
-        g, _, _ = solve_g(z.real, nu, z.imag, tol=tol)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"square law at x={float(x)!r}, eta={eta!r}: {exc}",
-                               exc.best_residual) from None
-    return float((g / z).imag / math.pi)
-
-
-def _density_values(x_abs: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """π-scaled limit density at x ≥ 0 from h = g(z)/z, z = x + i·eta.
-
-    Written as the full boundary value Im f(x+iη) = −x·Im(h²)
-    + η·(1/|z|² − Re h²), which shares the single h evaluation, has the
-    same η→0 limit as −2·Re(h)·x·Im(h), and stays accurate uniformly in x
-    (the naive product form loses the Re-h part to an O(η/x³) error near
-    the origin).
-    """
-    h2 = h * h
-    eta = z.imag
-    return (-x_abs * h2.imag + eta * (1.0 / np.abs(z) ** 2 - h2.real)) / math.pi
+def stieltjes_mu(z: complex, nu: DiscreteMeasure, tol: float = DEFAULT_TOL) -> complex:
+    """Cauchy transform f(z) = -(1 + g(z)²)/z of the limit measure (Im z > 0)."""
+    z = complex(z)
+    if not 0 < z.imag < math.inf:
+        raise ValueError(f"Im z must lie in (0, inf) (got z={z!r})")
+    g, _, _ = solve_g(z.real, nu, z.imag, tol=tol)
+    return _cauchy(z, g)
 
 
 _ZERO_NODES = (0.01, 0.02)
@@ -290,7 +264,7 @@ def _density_abs(nu: DiscreteMeasure, x_abs: np.ndarray, eta: float, tol: float)
     pos = x_abs[1:] if has_zero else x_abs
     xs = np.unique(np.concatenate([pos, _ZERO_NODES])) if has_zero else pos
     z, g, res, iterations = _solve(nu, xs, eta, tol)
-    vals = _clamp_density(_density_values(xs, z, g / z))
+    vals = _clamp_density(_cauchy(z, g).imag / math.pi)
     at = np.searchsorted(xs, pos)
     rho, residuals = vals[at], res[at]
     if has_zero:
@@ -378,7 +352,8 @@ def density_curve(
     The negative half is an exact mirror of the positive half. If the grid
     contains 0 the value there is the even-quadratic extrapolation from
     x ∈ {0.01, 0.02} (requires nu({0}) = 0). Solver failures abort with
-    the failing points named.
+    the failing points named. Each ρ carries the error of its g, about
+    tol/|F′(g)| (see :func:`solve_g`), which grows near soft edges.
     """
     grid = symmetric_grid(x_max, points)
     x_abs, mirror = np.unique(np.abs(grid), return_inverse=True)

@@ -5,9 +5,11 @@ function
 
     xi(v) = -1/v + Σ_a w_a·d_a²/(1 + v·d_a)
 
-inverts the square-law Stieltjes transform; a real point x lies OUTSIDE
-the square-law support exactly when xi(v) = x for some pole-free v with
-xi'(v) > 0 (Silverstein & Choi, 1995). In u = 1/v this reads
+inverts h(z²) = g(z)/z, the Stieltjes transform of the paper's variant of
+the Marchenko–Pastur law. On (0, ∞) that law and the square law (of x²,
+x drawn from the limit law) share their support: a real point x lies
+OUTSIDE it exactly when xi(v) = x for some pole-free v with xi'(v) > 0
+(Silverstein & Choi, 1995). In u = 1/v this reads
 
     X(u) = −u + E[D²] − Σ_a w_a·d_a³/(u + d_a),   X′(u) = φ(u) − 1,
     φ(u) = Σ_a w_a·d_a³/(u + d_a)²,

@@ -205,15 +205,16 @@ def tree_moments(moment, k_max: int) -> list[float]:
     return [sum(mom[c] * forest[c][k] for c in range(k + 1)) for k in range(k_max + 1)]
 
 
-# -- independent square-law transform solver ----------------------------------
+# -- independent solver for h(w) = g(√w)/√w ------------------------------------
 
 
 def solve_h_reference(w: complex, locations, weights,
                       tol: float = 1e-12, max_iter: int = 500_000) -> complex:
     """Fixed point of h = −(1/w)·E[D̂/(1 + h·D̂)] by plain damped iteration.
 
-    This is the square-law-plane route; the package solves the symmetric
-    plane and maps across, so agreement is a genuine cross-check. Raises
+    h is the transform that support.xi inverts. This route solves in the
+    plane w = z²; the package solves the symmetric plane and maps across,
+    so agreement is a genuine cross-check. Raises
     if the residual tolerance is not met.
     """
     locs = np.asarray(locations, dtype=float)
@@ -228,3 +229,42 @@ def solve_h_reference(w: complex, locations, weights,
         if abs(h - target(h)) < tol:
             return h
     raise RuntimeError(f"reference h solver stalled at w={w}: residual {abs(h - target(h)):.3g}")
+
+
+# -- soft edges of the support --------------------------------------------------
+
+
+def edge_density(nu, v_lo: float, v_hi: float) -> tuple[float, float, float]:
+    """Soft edge x_e = ξ(v_e) at the critical point v_e of ξ in [v_lo, v_hi].
+
+    ξ(v) = −1/v + Σ w·d²/(1 + v·d) inverts h(z²) = g(z)/z; the bracket
+    holds no pole and ξ′ changes sign across it. Bisection on ξ′, from the
+    atoms alone, gives v_e. Returns (v_e, x_e, ξ″(v_e)).
+
+    Near the edge h ≈ v_e + i·√(2δ/|ξ″(v_e)|) at w = x_e ∓ δ, δ into the
+    support (− where ξ″ > 0, an edge that closes an interval), and the
+    limit density is ρ = −2y·Re h·Im h/π at y = √w, so
+    ρ(y) ≈ 2|v_e|·y·√(2δ/|ξ″(v_e)|)/π to a relative O(δ).
+    """
+    d = np.asarray(nu.locations, dtype=float)
+    w = np.asarray(nu.weights, dtype=float)
+
+    def slope(v: float) -> float:
+        return 1.0 / v**2 - float(w @ (d**3 / (1.0 + v * d) ** 2))
+
+    lo, hi = float(v_lo), float(v_hi)
+    rising = slope(lo) < 0.0
+    if rising == (slope(hi) < 0.0):
+        raise ValueError(f"xi' keeps its sign on [{lo!r}, {hi!r}]")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if (slope(mid) < 0.0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    v = 0.5 * (lo + hi)
+    x_e = -1.0 / v + float(w @ (d**2 / (1.0 + v * d)))
+    curvature = -2.0 / v**3 + 2.0 * float(w @ (d**4 / (1.0 + v * d) ** 3))
+    return v, x_e, curvature

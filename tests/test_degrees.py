@@ -138,6 +138,15 @@ def test_sequence_round_trip(tmp_path):
     assert again == seq
 
 
+@pytest.mark.parametrize("line", ["x", "2.5", "1 2"])
+def test_sequence_load_names_the_file_and_a_malformed_line(tmp_path, line):
+    # a bare "invalid literal for int()" named neither the file nor the line
+    path = tmp_path / "degrees.txt"
+    path.write_text(f"2\n{line}\n2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: degree line {line!r} is not an integer")):
+        DegreeSequence.load(path)
+
+
 def test_grouped_degrees_mixed_scales():
     groups = [
         DegreeGroup(count="sqrt", law=OnePlusExponential(rate=1.0), scale="sqrt"),

@@ -352,7 +352,16 @@ def test_edge_list_rejects_a_repeated_pair(tmp_path, rows, pair):
 def test_edge_list_rejects_a_line_that_is_not_three_integers(tmp_path, line):
     path = tmp_path / "edges.txt"
     path.write_text(f"# n=2\n{line}\n")
-    with pytest.raises(ValueError, match=re.escape(f"edge-list line {line!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: edge-list line {line!r}")):
+        Multigraph.load_edges(path)
+
+
+@pytest.mark.parametrize("header", ["# n=abc", "# n=2.5", "# n="])
+def test_edge_list_names_the_file_and_a_malformed_n_header(tmp_path, header):
+    # a bare "invalid literal for int()" named neither the file nor the line
+    path = tmp_path / "edges.txt"
+    path.write_text(f"{header}\n0 1 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: edge-list header {header!r}")):
         Multigraph.load_edges(path)
 
 

@@ -1,6 +1,7 @@
 """Fixed-point solver, limit densities, quantization, and origin mass."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,16 +13,22 @@ from sparsespectra import (
     TwoAtomLaw,
     UniformLaw,
     density_curve,
-    density_mp,
     quantize_measure,
     solve_g,
     stieltjes_mu,
     support_mp,
     symmetric_grid,
+    xi,
 )
 from sparsespectra import limit_law
 
-from oracles import cauchy_transform_quadrature, semicircle_g, solve_h_reference, tree_moments
+from oracles import (
+    cauchy_transform_quadrature,
+    edge_density,
+    semicircle_g,
+    solve_h_reference,
+    tree_moments,
+)
 
 DELTA_ONE = DiscreteMeasure.from_pairs([(1.0, 1.0)])
 TWO_ATOM = TwoAtomLaw(alpha=4.0, beta=0.5).measure()
@@ -68,6 +75,13 @@ def test_rejects_lower_half_plane_and_real_axis():
         stieltjes_mu(1.0 + 0j, DELTA_ONE)
 
 
+@pytest.mark.parametrize("z", [1 - 1j, 1 + 0j, complex(1, math.nan), complex(1, math.inf)])
+def test_transform_names_z_when_it_leaves_the_upper_half_plane(z):
+    # stieltjes_mu(1-1j) used to complain about an `eta` it does not take
+    with pytest.raises(ValueError, match=re.escape(f"Im z must lie in (0, inf) (got z={z!r})")):
+        stieltjes_mu(z, DELTA_ONE)
+
+
 def test_rejects_weight_law_with_wrong_mean():
     with pytest.raises(ValueError):
         solve_g(0.0, DiscreteMeasure.from_pairs([(2.0, 1.0)]), 1.0)
@@ -87,9 +101,9 @@ CURVE_NODES = [*symmetric_grid(2.0, 21)[11:], 0.01, 0.02]
 @pytest.mark.parametrize("call, xs", [
     (lambda: solve_g(0.5, THREE_ATOM, 1e-6), [0.5]),
     (lambda: solve_g(np.array([0.25, 0.5]), THREE_ATOM, 1e-6), [0.25, 0.5]),
-    (lambda: density_mp(0.5, THREE_ATOM, eta=1e-6), [0.5]),
+    (lambda: stieltjes_mu(0.5 + 1e-6j, THREE_ATOM), [0.5]),
     (lambda: density_curve(THREE_ATOM, x_max=2.0, points=21, eta=1e-6), CURVE_NODES),
-], ids=["solve_g", "solve_g_array", "density_mp", "density_curve"])
+], ids=["solve_g", "solve_g_array", "stieltjes_mu", "density_curve"])
 def test_every_entry_point_fails_through_the_one_continuation(monkeypatch, call, xs):
     # _MAX_ITER bounds the whole continuation, so 3 iterations cannot reach eta
     monkeypatch.setattr(limit_law, "_MAX_ITER", 3)
@@ -239,11 +253,12 @@ def test_transform_matches_quadrature_of_density_curve():
         assert abs(direct - from_curve) < 5e-3
 
 
-# -- independent route to the square-law transform -------------------------------
+# -- independent route through the variant's transform h ----------------------------
 
 
 def test_square_law_transform_cross_check():
-    # h(w) from the one-variable fixed point in w must agree with g(sqrt(w))/sqrt(w)
+    # h(w), the transform that support.xi inverts, from the one-variable fixed
+    # point in w must agree with g(sqrt(w))/sqrt(w)
     for w in (2.0 + 0.5j, -1.0 + 0.3j, 0.5 + 1.0j, 4.0 + 0.01j):
         for nu in (DELTA_ONE, TWO_ATOM, THREE_ATOM):
             locs = np.array(nu.locations)
@@ -275,7 +290,7 @@ def test_real_line_solution_invariants():
         h = g / (xs + 1j * limit_law.DEFAULT_ETA)
         assert np.all(res <= 1e-10)
         assert np.all(g.imag > 0)
-        # square-law transform has negative real part at positive arguments
+        # h = g/z has negative real part at positive arguments
         assert np.all(h.real < 0)
 
 
@@ -289,14 +304,12 @@ def test_real_line_rejects_bad_eta():
 def test_densities_reject_bad_eta(eta):
     with pytest.raises(ValueError, match="eta"):
         density_curve(DELTA_ONE, x_max=2.0, points=21, eta=eta)
-    with pytest.raises(ValueError, match="eta"):
-        density_mp(0.5, DELTA_ONE, eta=eta)
 
 
 TOL_ENTRY_POINTS = {
     "solve_g": lambda tol: solve_g(0.0, DELTA_ONE, 1.0, tol=tol),
     "solve_g_array": lambda tol: solve_g(np.array([1.0]), DELTA_ONE, tol=tol),
-    "density_mp": lambda tol: density_mp(0.5, DELTA_ONE, tol=tol),
+    "stieltjes_mu": lambda tol: stieltjes_mu(0.5 + 1e-6j, DELTA_ONE, tol=tol),
     "density_curve": lambda tol: density_curve(DELTA_ONE, x_max=2.0, points=21, tol=tol),
 }
 
@@ -313,7 +326,6 @@ NON_FINITE_ENTRY_POINTS = {
     "solve_g": lambda x: solve_g(x, DELTA_ONE),
     "solve_g_array": lambda x: solve_g(np.array([0.5, x]), DELTA_ONE),
     "stieltjes_mu": lambda x: stieltjes_mu(complex(x, 1.0), DELTA_ONE),
-    "density_mp": lambda x: density_mp(x, DELTA_ONE),
     "density_curve": lambda x: density_curve(DELTA_ONE, x_max=x, points=21),
 }
 
@@ -321,7 +333,6 @@ NON_FINITE_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_entry_points_reject_non_finite_x(entry, x):
-    # density_mp(nan) used to return nan without an error
     with pytest.raises(ValueError, match="finite") as info:
         NON_FINITE_ENTRY_POINTS[entry](x)
     assert f"(got {x!r})" in str(info.value) or f"(got {abs(x)!r})" in str(info.value)
@@ -345,22 +356,6 @@ def test_nan_residual_fails_and_names_the_point(monkeypatch):
 # -- densities ------------------------------------------------------------------
 
 
-def test_square_law_density_at_two():
-    # closed form sqrt(4/x - 1)/(2*pi) for the unit-atom square law
-    val = density_mp(2.0, DELTA_ONE)
-    assert abs(val - 1.0 / (2 * math.pi)) < 1e-5
-
-
-def test_square_law_density_vanishes_off_support():
-    assert density_mp(5.0, DELTA_ONE) < 1e-4
-    assert density_mp(-1.0, DELTA_ONE) < 1e-4
-
-
-def test_square_law_density_rejects_origin():
-    with pytest.raises(ValueError):
-        density_mp(0.0, DELTA_ONE)
-
-
 def test_symmetric_density_values_for_unit_weights():
     # rho(0) = 1/pi, rho(+-1) = sqrt(3)/(2*pi), tail at 2.5 vanishes
     curve = density_curve(DELTA_ONE, x_max=2.5, points=11)
@@ -369,6 +364,52 @@ def test_symmetric_density_values_for_unit_weights():
     assert rho[1.0] == rho[-1.0]  # evaluated through |x|: even exactly
     assert abs(rho[1.0] - math.sqrt(3) / (2 * math.pi)) < 1e-5
     assert rho[2.5] < 1e-4
+
+
+# -- soft edges: the support scan against the fixed point --------------------------
+
+
+def critical_brackets(nu, top_only=False):
+    """Grid cells of each pole-free v < 0 interval across which xi' changes sign."""
+    locs = np.array([d for d in nu.locations if d > 0])
+    poles = np.append(np.sort(-1.0 / locs), 0.0)
+    pairs = list(zip(poles[:-1], poles[1:]))
+    for lo, hi in pairs[-1:] if top_only else pairs:
+        v = np.linspace(lo, hi, 4001)[1:-1]
+        below = xi(v, nu)[1] < 0
+        for k in np.flatnonzero(below[:-1] != below[1:]):
+            yield v[k], v[k + 1]
+
+
+def test_soft_edges_match_the_support_scan_and_the_fixed_point():
+    # Every critical point of xi is an edge of support_mp, and near it the
+    # density from stieltjes_mu follows oracles.edge_density's square root.
+    # delta is c × the width W of the narrower neighbouring interval or gap
+    # (the split law's inner edges are 3.7e-3 apart), eta = 1e-3 × delta in
+    # y-units. The worst relative error measured is 0.75·c (two-atom split
+    # top edge at c = 1e-4, quantized 1+Exp at c = 1e-3); the bound 2·c
+    # leaves a factor 2.7. A 1% error in ρ, or an edge moved by 1e-6
+    # relative, fails it. The quantized law is scanned only above its top
+    # pole: its 2047 interior pole gaps take seconds, and hold no edge.
+    exp = quantize_measure(OnePlusExponential(1.0).normalized(), 2048)
+    for name, nu in {**BOUND_SUITE_ATOMIC, "quantized 1+Exp": exp}.items():
+        support = support_mp(nu)
+        ends = sorted({end for piece in support for end in piece})
+        soft = [end for end in ends if end > 0]
+        found = [edge_density(nu, lo, hi) for lo, hi in critical_brackets(nu, top_only=nu is exp)]
+        assert len(found) == len(soft), (name, found, soft)
+        for (v_e, x_e, curvature), edge in zip(sorted(found, key=lambda c: c[1]), soft):
+            assert abs(x_e - edge) <= 1e-12 * edge, (name, x_e, edge)
+            k = ends.index(edge)
+            width = min(np.diff(ends)[k - 1:k + 1])
+            for c in (1e-3, 1e-4):
+                delta = c * width
+                # into the support: below an edge that closes an interval (xi'' > 0)
+                y = math.sqrt(x_e - math.copysign(delta, curvature))
+                predicted = 2 * abs(v_e) * y * math.sqrt(2 * delta / abs(curvature)) / math.pi
+                eta = 1e-3 * delta / (2 * y)
+                rho = stieltjes_mu(complex(y, eta), nu, tol=1e-13).imag / math.pi
+                assert abs(rho / predicted - 1) <= 2 * c, (name, edge, c, rho, predicted)
 
 
 # -- sampled curves ----------------------------------------------------------------

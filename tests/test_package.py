@@ -1,6 +1,7 @@
 """The package namespace: every exported name resolves, nothing else is exported, the
 command line reaches no private name of a package module, the README's library example
-runs as written, and the benchmark tracer still finds every name it wraps."""
+runs as written and its package map names only what exists, and the benchmark tracer
+still finds every name it wraps."""
 
 import ast
 import importlib
@@ -48,6 +49,34 @@ def test_the_readme_library_quick_start_runs_as_written(capsys):
     exec(compile(block, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert [line.partition(":")[0] for line in printed] == ["KS distance to the limit", "support"]
+
+
+def test_the_readme_package_map_names_only_what_exists():
+    # a backticked code name (one holding `_` or a capital) in a row must
+    # resolve in that row's module or in the package namespace
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Package map", 1)[1].split("\n## ", 1)[0]
+    rows = [re.split(r"(?<!\\)\|", line)[1:3] for line in table.splitlines()
+            if line.startswith("| `")]
+    assert len(rows) == len(LIBRARY_MODULES) + 2
+    missing = []
+    for module_cell, contents in rows:
+        module = importlib.import_module(f"sparsespectra.{module_cell.strip().strip('`')}")
+        for code in re.findall(r"`([^`]+)`", contents):
+            name = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", code)
+            if not name or not re.search(r"[_A-Z]", name.group(1)):
+                continue
+            if not any(_resolves(space, name.group(1)) for space in (module, sparsespectra)):
+                missing.append(f"{module.__name__}: {code}")
+    assert missing == []
+
+
+def _resolves(space, dotted: str) -> bool:
+    for attr in dotted.split("."):
+        if not hasattr(space, attr):
+            return False
+        space = getattr(space, attr)
+    return True
 
 
 def test_the_benchmark_tracer_wraps_every_function_and_method_it_names():

