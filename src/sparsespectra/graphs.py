@@ -57,6 +57,8 @@ class Multigraph:
     mult: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"vertex count must be nonnegative (got n={self.n})")
         for name in ("edges_i", "edges_j", "mult"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         if not (self.edges_i.shape == self.edges_j.shape == self.mult.shape):

@@ -257,7 +257,7 @@ def _density_abs(nu: DiscreteMeasure, x_abs: np.ndarray, eta: float, tol: float)
     carries an atom at the origin and has no density value there).
     """
     if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
+        raise ValueError(f"eta must lie in (0, 1] (got {eta!r})")
     has_zero = x_abs[0] == 0
     if has_zero and nu.mass_at(0.0) > 0:
         raise ValueError("density at 0 undefined when the weight law has mass at 0")
@@ -353,7 +353,8 @@ def density_curve(
     contains 0 the value there is the even-quadratic extrapolation from
     x ∈ {0.01, 0.02} (requires nu({0}) = 0). Solver failures abort with
     the failing points named. Each ρ carries the error of its g, about
-    tol/|F′(g)| (see :func:`solve_g`), which grows near soft edges.
+    tol/|F′(g)| (see :func:`solve_g`), which grows near soft edges. The
+    smoothing eta must lie in (0, 1].
     """
     grid = symmetric_grid(x_max, points)
     x_abs, mirror = np.unique(np.abs(grid), return_inverse=True)

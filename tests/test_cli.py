@@ -21,7 +21,7 @@ from sparsespectra import (
     support_mp,
     xi,
 )
-from sparsespectra import cli
+from sparsespectra import cli, tables
 from sparsespectra.cli import main, parse_measure_spec
 from sparsespectra.tables import _BLOCK_ROWS
 
@@ -315,6 +315,7 @@ def test_sample_poissonized_runs(tmp_path):
 
 
 def test_sample_files_match_a_per_row_reference(tmp_path, monkeypatch):
+    monkeypatch.setattr(tables, "_INT_BLOCK_ROWS", _BLOCK_ROWS)
     made = {}
 
     def recording(name):

@@ -21,6 +21,7 @@ from sparsespectra import (
 )
 
 from oracles import graph_key, matching_distribution, poissonized_distribution, total_variation
+from sparsespectra import tables
 from sparsespectra.tables import _BLOCK_ROWS
 
 
@@ -306,7 +307,8 @@ def test_edge_list_round_trip(tmp_path):
     assert graph_key(again) == graph_key(g)
 
 
-def test_edge_list_blocks_match_a_per_row_reference(tmp_path):
+def test_edge_list_blocks_match_a_per_row_reference(tmp_path, monkeypatch):
+    monkeypatch.setattr(tables, "_INT_BLOCK_ROWS", _BLOCK_ROWS)
     rng = np.random.default_rng(7)
     n = 3000
     ii = np.concatenate([rng.integers(0, n, 30_000), np.arange(0, n, 3)])
@@ -362,6 +364,13 @@ def test_edge_list_names_the_file_and_a_malformed_n_header(tmp_path, header):
     path = tmp_path / "edges.txt"
     path.write_text(f"{header}\n0 1 1\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: edge-list header {header!r}")):
+        Multigraph.load_edges(path)
+
+
+def test_edge_list_rejects_a_negative_n(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("# n=-3\n")
+    with pytest.raises(ValueError, match=re.escape("vertex count must be nonnegative (got n=-3)")):
         Multigraph.load_edges(path)
 
 

@@ -300,9 +300,9 @@ def test_real_line_rejects_bad_eta():
             solve_g(np.array([1.0]), DELTA_ONE, eta=eta)
 
 
-@pytest.mark.parametrize("eta", [0.0, -1e-6, 2.0])
+@pytest.mark.parametrize("eta", [0.0, -1e-6, 2.0, math.nan, math.inf])
 def test_densities_reject_bad_eta(eta):
-    with pytest.raises(ValueError, match="eta"):
+    with pytest.raises(ValueError, match=re.escape(f"eta must lie in (0, 1] (got {eta!r})")):
         density_curve(DELTA_ONE, x_max=2.0, points=21, eta=eta)
 
 
