@@ -138,7 +138,10 @@ def parse_measure_spec(text: str):
                 except ValueError:
                     raise ValueError(f"{text} line {lineno}: expected 'location weight', "
                                      f"got {line!r}") from None
-        return DiscreteMeasure.from_pairs(pairs)
+        try:
+            return DiscreteMeasure.from_pairs(pairs)
+        except ValueError as exc:
+            raise ValueError(f"{text}: {exc}") from None
     head, _, tail = text.partition(":")
     head = head.strip().lower()
     if head == "delta":

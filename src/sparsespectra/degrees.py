@@ -68,7 +68,10 @@ class DegreeSequence:
                 except ValueError:
                     raise ValueError(f"{path}: degree line {line.strip()!r} is not an "
                                      "integer") from None
-        return cls(degs)
+        try:
+            return cls(degs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _largest_remainder_counts(n: int, weights) -> np.ndarray:

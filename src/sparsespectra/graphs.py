@@ -119,14 +119,12 @@ class Multigraph:
 
     def save_edges(self, path, metadata: dict | None = None) -> None:
         """Edge-list text: a sorted '# key=value' header that includes n,
-        then 'i j mult' lines, pairs first and loops ('v v count') after."""
+        then one 'i j mult' line per row in stored order (a loop is 'v v count')."""
         header = {**(metadata or {}), "n": self.n}
-        loop = self.edges_i == self.edges_j
         with open(path, "w") as fh:
             for key in sorted(header):
                 fh.write(f"# {key}={header[key]}\n")
-            for rows in (~loop, loop):
-                write_rows(fh, " ", self.edges_i[rows], self.edges_j[rows], self.mult[rows])
+            write_rows(fh, " ", self.edges_i, self.edges_j, self.mult)
 
     @classmethod
     def load_edges(cls, path) -> "Multigraph":
@@ -161,7 +159,10 @@ class Multigraph:
             raise ValueError(f"{path}: edge-list file lacks the '# n=' header")
         ii, jj, mm = np.array(rows, dtype=np.int64).reshape(-1, 3).T
         order = np.lexsort((jj, ii))
-        return cls(n, ii[order], jj[order], mm[order])
+        try:
+            return cls(n, ii[order], jj[order], mm[order])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def from_instances(cls, n: int, ii, jj) -> "Multigraph":

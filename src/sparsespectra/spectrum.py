@@ -3,14 +3,12 @@
 Every solve reads only the lower triangle and diagonal of its matrix, so
 a matrix may share its strict upper triangle with another one (see
 `graphs.scaled_adjacency_pair`). `eigenvalues_symmetric_pair` solves two
-such matrices at once: the first on the calling thread, the second on one
-worker thread. The dense solver releases the interpreter lock, so the two
-solves overlap on two CPUs.
+such matrices at once: the first on the calling thread, the second on the
+one worker of a `concurrent.futures` thread pool. The dense solver releases
+the interpreter lock, so the two solves overlap on two CPUs.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -37,31 +35,23 @@ def eigenvalues_symmetric(a) -> np.ndarray:
 def eigenvalues_symmetric_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """`eigenvalues_symmetric` of a and of b, the two solved concurrently.
 
-    a is solved on the calling thread and b on one worker thread; an
-    exception from either solve is raised here. Only b leaves the calling
-    thread: glibc keeps what a thread frees in that thread's own arena, and
-    with both solves on worker threads their freed n×n solver buffers were
-    not reused, which raised the peak memory of a two-solve run by a quarter.
+    a is solved on the calling thread and b on one pool worker. An exception
+    from either solve is raised here, after both solves have ended; if both
+    fail, a's is raised. Only b leaves the calling thread: glibc keeps what
+    a thread frees in that thread's own arena, and with both solves on worker
+    threads their freed n×n solver buffers were not reused, which raised the
+    peak memory of a two-solve run by a quarter.
     """
-    outcome = []
+    # imported here, not at module level: concurrent.futures pulls in logging,
+    # which would add about 6 ms to the start-up of every command
+    from concurrent.futures import ThreadPoolExecutor
 
-    def solve_b() -> None:
-        # calls no public function of the package: a tracer wrapping those
-        # is not thread-safe
-        try:
-            outcome.append(_eigenvalues_descending(b))
-        except Exception as exc:  # raised again on the calling thread
-            outcome.append(exc)
-
-    worker = threading.Thread(target=solve_b)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # the worker calls no public function of the package: a tracer
+        # wrapping those is not thread-safe
+        eig_b = pool.submit(_eigenvalues_descending, b)
         eig_a = _eigenvalues_descending(a)
-    finally:
-        worker.join()
-    if isinstance(outcome[0], Exception):
-        raise outcome[0]
-    return eig_a, outcome[0]
+    return eig_a, eig_b.result()
 
 
 def _eigenvalues_descending(a) -> np.ndarray:
@@ -74,12 +64,9 @@ def freedman_diaconis_histogram(values):
     Returns (bin_left, bin_right, density) arrays.
     """
     vals = np.asarray(values, dtype=float).ravel()
-    n = vals.size
-    if n == 0:
+    if vals.size == 0:
         raise ValueError("empty sample")
-    counts, edges = np.histogram(vals, bins="fd")
-    widths = np.diff(edges)
-    density = counts / (n * widths)
+    density, edges = np.histogram(vals, bins="fd", density=True)
     return edges[:-1], edges[1:], density
 
 

@@ -106,6 +106,20 @@ def test_spec_errors_name_the_offending_item(tmp_path):
         parse_measure_spec("atoms:0.5=0.5,2.0")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 0.5\n2 0.6\n", "weights sum to 1.1, expected 1 within 1e-12"),
+    ("1 nan\n", "atoms must be finite"),
+    ("1 -0.5\n2 1.5\n", "weights must be strictly positive"),
+], ids=["sum", "nan", "negative"])
+def test_spec_file_names_itself_on_a_measure_error(tmp_path, capsys, text, message):
+    # every line parses, and the measure rejects the atoms
+    f = tmp_path / "law.txt"
+    f.write_text(text)
+    rc = main(["density", "--measure", str(f), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {f}: {message}\n"
+
+
 def test_spec_rejects_unknown_family():
     for spec, name in [("zipf:s=2", "zipf"),
                        ("one_plus_exponential(rate=1)", "one_plus_exponential")]:
@@ -341,10 +355,8 @@ def test_sample_files_match_a_per_row_reference(tmp_path, monkeypatch):
     assert len(rows) - loops > 2 * _BLOCK_ROWS and loops > 0
     text = edges_path.read_text()
     header = "".join(line for line in text.splitlines(keepends=True) if line.startswith("#"))
-    # pair rows first, loop rows after
-    assert text == header + "".join(
-        f"{i} {j} {m}\n" for i, j, m in rows if i != j
-    ) + "".join(f"{i} {j} {m}\n" for i, j, m in rows if i == j)
+    # rows in stored (i, j) order, loops among them
+    assert text == header + "".join(f"{i} {j} {m}\n" for i, j, m in rows)
     assert degrees_path.read_text() == "".join(f"{d}\n" for d in seq.degrees)
 
 

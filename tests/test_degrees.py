@@ -147,6 +147,20 @@ def test_sequence_load_names_the_file_and_a_malformed_line(tmp_path, line):
         DegreeSequence.load(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1\n2\n", "total degree must be even"),
+    ("-1\n1\n", "degrees must be nonnegative"),
+    ("\n", "empty degree sequence"),
+], ids=["odd", "negative", "empty"])
+def test_sequence_load_names_the_file_on_a_sequence_error(tmp_path, text, message):
+    # every line parses, and the sequence rejects the degrees
+    path = tmp_path / "degrees.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        DegreeSequence.load(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_grouped_degrees_mixed_scales():
     groups = [
         DegreeGroup(count="sqrt", law=OnePlusExponential(rate=1.0), scale="sqrt"),

@@ -319,10 +319,8 @@ def test_edge_list_blocks_match_a_per_row_reference(tmp_path, monkeypatch):
     assert len(rows) - loops > 2 * _BLOCK_ROWS and loops > 1000
     path = tmp_path / "edges.txt"
     g.save_edges(path, metadata={"seed": 7, "n": n})
-    # n is written once, in sorted order; pair rows first, loop rows after
-    reference = f"# n={n}\n# seed=7\n" + "".join(
-        f"{i} {j} {m}\n" for i, j, m in rows if i != j
-    ) + "".join(f"{i} {j} {m}\n" for i, j, m in rows if i == j)
+    # n is written once, in sorted order; rows in stored (i, j) order, loops among them
+    reference = f"# n={n}\n# seed=7\n" + "".join(f"{i} {j} {m}\n" for i, j, m in rows)
     assert path.read_text() == reference
     again = Multigraph.load_edges(path)
     assert again.n == n
@@ -365,6 +363,20 @@ def test_edge_list_names_the_file_and_a_malformed_n_header(tmp_path, header):
     path.write_text(f"{header}\n0 1 1\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: edge-list header {header!r}")):
         Multigraph.load_edges(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# n=3\n0 5 1\n", "vertex id 5 outside [0, 3)"),
+    ("# n=3\n0 1 0\n", "multiplicities must be positive"),
+    ("# n=3\n0 1 2\n1 0 1\n", "edge list repeats the pair (0, 1)"),
+], ids=["outside", "zero-mult", "repeated"])
+def test_edge_list_names_the_file_on_a_multigraph_error(tmp_path, text, message):
+    # the rows parse, and the constructor rejects them
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        Multigraph.load_edges(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_edge_list_rejects_a_negative_n(tmp_path):

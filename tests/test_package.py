@@ -102,3 +102,15 @@ def test_the_benchmark_tracer_wraps_every_function_and_method_it_names():
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_importing_the_cli_leaves_the_thread_pool_module_unloaded():
+    # spectrum imports concurrent.futures inside the pair function: at module
+    # level it pulls in logging, about 6 ms of every command's start-up
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = "import sys, sparsespectra.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

@@ -1,6 +1,8 @@
 """Eigenvalue extraction, empirical spectral measures, matrix-distance bounds."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from sparsespectra import (
     write_histogram_csv,
     write_spectrum_csv,
 )
+
+from sparsespectra import spectrum
 
 from oracles import trace_distance_bound, tree_moments
 
@@ -69,6 +73,47 @@ def test_solver_reads_only_the_lower_triangle():
 def test_pair_raises_the_worker_solve_error():
     with pytest.raises(np.linalg.LinAlgError, match="square"):
         eigenvalues_symmetric_pair(np.eye(3), np.ones((2, 3)))
+
+
+class Halt(BaseException):
+    """Not an Exception: a relay that catches only Exception loses it."""
+
+
+def test_pair_raises_a_base_exception_from_the_worker_solve(monkeypatch):
+    a, b = np.eye(3), np.eye(3)
+    solve = spectrum._eigenvalues_descending
+
+    def halting_on_b(m):
+        if m is b:
+            raise Halt
+        return solve(m)
+
+    monkeypatch.setattr(spectrum, "_eigenvalues_descending", halting_on_b)
+    with pytest.raises(Halt):
+        eigenvalues_symmetric_pair(a, b)
+
+
+def test_pair_raises_the_calling_thread_error_after_the_worker_ends(monkeypatch):
+    a, b = np.eye(3), np.eye(3)
+    solve = spectrum._eigenvalues_descending
+    a_failed, b_done = threading.Event(), threading.Event()
+
+    def failing_on_a(m):
+        if m is a:
+            a_failed.set()
+            raise np.linalg.LinAlgError("a failed")
+        a_failed.wait(timeout=10)
+        time.sleep(0.05)  # b is still running when a's error is ready
+        eigs = solve(m)
+        b_done.set()
+        return eigs
+
+    monkeypatch.setattr(spectrum, "_eigenvalues_descending", failing_on_a)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="a failed"):
+        eigenvalues_symmetric_pair(a, b)
+    assert b_done.is_set()
+    assert threading.active_count() == threads
 
 
 def test_esd_of_zero_matrix_is_point_mass_at_zero():
