@@ -35,12 +35,18 @@ class DegreeSequence:
     omega: float = field(init=False)
 
     def __post_init__(self) -> None:
-        degs = tuple(int(d) for d in self.degrees)
-        object.__setattr__(self, "degrees", degs)
-        if len(degs) == 0:
+        # beyond int64 numpy keeps Python ints as objects, or as uint64 up to 2**64
+        values = np.asarray(self.degrees)
+        if values.size == 0:
             raise ValueError("empty degree sequence")
-        if any(d < 0 for d in degs):
+        if values.dtype.kind not in "iu" or values.max() >= 2**63:
+            bad = next((d for d in self.degrees if not isinstance(d, (int, np.integer))
+                        or not -2**63 <= d < 2**63), values.dtype)
+            raise ValueError(f"degrees must be 64-bit integers (got {bad!r})")
+        if values.min() < 0:
             raise ValueError("degrees must be nonnegative")
+        degs = tuple(values.tolist())
+        object.__setattr__(self, "degrees", degs)
         total = sum(degs)
         if total % 2 != 0:
             raise ValueError("total degree must be even")
@@ -102,14 +108,20 @@ def _resolve_scale(rule: str | float, n: int) -> float:
         raise ValueError(f"omega {rule!r}: expected a number, 'sqrt' or 'log'") from None
 
 
-def _even_sequence(degrees: np.ndarray) -> DegreeSequence:
-    """Give the last vertex one more half-edge if the total is odd, and
-    reject an all-zero outcome (no edges to match)."""
+def _even_sequence(scaled: np.ndarray) -> DegreeSequence:
+    """Degrees floor(scale·t) from the products `scaled`, the last vertex
+    given one more half-edge if the total is odd. Rejects a degree beyond
+    int64 (the cast would wrap it) and an all-zero outcome (no edges to
+    match)."""
+    worst = scaled.max()
+    if worst >= 2.0**63:
+        raise ValueError(f"degree {worst:.17g} (scale × weight) does not fit in 64 bits")
+    degrees = np.floor(scaled).astype(np.int64)
     if degrees.sum() % 2 != 0:
         degrees[-1] += 1
     if degrees.sum() == 0:
         raise ValueError("all-zero degree sequence: no edges to match")
-    return DegreeSequence(degrees.tolist())
+    return DegreeSequence(degrees)
 
 
 def build_degree_sequence(
@@ -136,8 +148,7 @@ def build_degree_sequence(
         weights_per_vertex = np.repeat(locs, _largest_remainder_counts(n, wts))
     else:
         weights_per_vertex = law.sample(np.random.default_rng(seed), n)
-    degrees = np.floor(omega_target * weights_per_vertex).astype(np.int64)
-    return _even_sequence(degrees)
+    return _even_sequence(omega_target * weights_per_vertex)
 
 
 @dataclass(frozen=True)
@@ -196,14 +207,13 @@ def build_grouped_degrees(groups, n: int, seed=None) -> DegreeSequence:
     used = sum(c for _, c in fixed if c is not None)
     if used > n:
         raise ValueError(f"group counts sum to {used} > n={n}")
-    degree_blocks = []
+    blocks = []
     for g, c in fixed:
         c = n - used if c is None else c
         if c == 0:
             continue
-        t = g.law.sample(rng, c)
-        degree_blocks.append(np.floor(_resolve_scale(g.scale, n) * t).astype(np.int64))
-    if not degree_blocks:
+        blocks.append(_resolve_scale(g.scale, n) * g.law.sample(rng, c))
+    if not blocks:
         raise ValueError(f"the groups cover no vertex: every group count resolves to 0 at n={n}")
-    return _even_sequence(np.concatenate(degree_blocks))
+    return _even_sequence(np.concatenate(blocks))
 

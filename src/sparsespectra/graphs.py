@@ -144,16 +144,16 @@ class Multigraph:
                     body = line[1:].strip()
                     if body.startswith("n="):
                         try:
-                            n = int(body[2:])
+                            n = _int64(body[2:])
                         except ValueError:
                             raise ValueError(f"{path}: edge-list header {line!r} does not give "
-                                             "n as an integer") from None
+                                             "n as a 64-bit integer") from None
                     continue
                 try:
-                    i, j, m = (int(tok) for tok in line.split())
+                    i, j, m = map(_int64, line.split())
                 except ValueError:
-                    raise ValueError(f"{path}: edge-list line {line!r} is not three integers "
-                                     "'i j mult'") from None
+                    raise ValueError(f"{path}: edge-list line {line!r} is not three 64-bit "
+                                     "integers 'i j mult'") from None
                 rows.append((min(i, j), max(i, j), m))
         if n is None:
             raise ValueError(f"{path}: edge-list file lacks the '# n=' header")
@@ -174,6 +174,14 @@ class Multigraph:
         keys, counts = np.unique(lo * n + hi, return_counts=True)
         lo, hi = np.divmod(keys, n)
         return cls(n, lo, hi, counts)
+
+
+def _int64(token: str) -> int:
+    """int(token), with ValueError also for a value outside int64."""
+    value = int(token)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{value} is outside int64")
+    return value
 
 
 def _reject_outside(n: int, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -219,10 +227,14 @@ def sample_poissonized(seq: DegreeSequence, seed=None) -> Multigraph:
     return Multigraph.from_instances(seq.n, ends[:, 0], ends[:, 1])
 
 
+def _check_omega(omega: float) -> None:
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite (got {omega!r})")
+
+
 def scaled_adjacency(g: Multigraph, omega: float, single: bool = False) -> np.ndarray:
     """Adjacency divided by sqrt(omega); the spectral object of interest."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    _check_omega(omega)
     a = g.adjacency(single=single)
     a /= math.sqrt(omega)
     return a
@@ -273,6 +285,5 @@ def scaled_adjacency_distance(g: Multigraph, h: Multigraph, omega: float,
 def _common_order(g: Multigraph, h: Multigraph, omega: float) -> int:
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    _check_omega(omega)
     return g.n

@@ -180,10 +180,12 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float):
     Intermediate stages only hand over a warm start: they stop at residual
     max(tol, _STAGE_TOL) or after 2000 iterations. The final stage enforces
     `tol` (0 < tol < inf), and _MAX_ITER bounds the iterations of the
-    whole solve. Returns (z, g, residual, iterations); raises
-    :class:`ConvergenceError` naming the failing points if any lane
-    misses `tol`.
+    whole solve; eta must lie in (0, inf). Returns (z, g, residual,
+    iterations); raises :class:`ConvergenceError` naming the failing
+    points if any lane misses `tol`.
     """
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must lie in (0, inf) (got {eta!r})")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf) (got {tol!r})")
     locs, wts = _check_weight_law(nu)
@@ -224,8 +226,6 @@ def solve_g(x, nu: DiscreteMeasure, eta: float = DEFAULT_ETA, tol: float = DEFAU
     `tol` bounds the residual |F(g)| at which a lane stops; g itself is
     accurate to about tol/|F′(g)|, which grows near soft edges (F′ → 0).
     """
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must lie in (0, inf) (got {eta!r})")
     _, g, res, iterations = _solve(nu, np.atleast_1d(x), eta, tol)
     if np.ndim(x) == 0:
         return complex(g[0]), float(res[0]), iterations
@@ -247,32 +247,6 @@ def stieltjes_mu(z: complex, nu: DiscreteMeasure, tol: float = DEFAULT_TOL) -> c
 
 
 _ZERO_NODES = (0.01, 0.02)
-
-
-def _density_abs(nu: DiscreteMeasure, x_abs: np.ndarray, eta: float, tol: float):
-    """Limit density at sorted values x_abs ≥ 0, with residuals and iterations.
-
-    A leading 0 is filled in by the even-quadratic extrapolation
-    (4·ρ(0.01) − ρ(0.02))/3 and requires nu({0}) = 0 (otherwise the limit
-    carries an atom at the origin and has no density value there).
-    """
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1] (got {eta!r})")
-    has_zero = x_abs[0] == 0
-    if has_zero and nu.mass_at(0.0) > 0:
-        raise ValueError("density at 0 undefined when the weight law has mass at 0")
-    pos = x_abs[1:] if has_zero else x_abs
-    xs = np.unique(np.concatenate([pos, _ZERO_NODES])) if has_zero else pos
-    z, g, res, iterations = _solve(nu, xs, eta, tol)
-    vals = _clamp_density(_cauchy(z, g).imag / math.pi)
-    at = np.searchsorted(xs, pos)
-    rho, residuals = vals[at], res[at]
-    if has_zero:
-        n1, n2 = np.searchsorted(xs, _ZERO_NODES)
-        rho0 = _clamp_density(np.array([(4.0 * vals[n1] - vals[n2]) / 3.0]))
-        rho = np.concatenate([rho0, rho])
-        residuals = np.concatenate([[max(res[n1], res[n2])], residuals])
-    return rho, residuals, iterations
 
 
 def _clamp_density(rho: np.ndarray) -> np.ndarray:
@@ -347,18 +321,31 @@ def density_curve(
     eta: float = DEFAULT_ETA,
     tol: float = DEFAULT_TOL,
 ) -> DensityCurve:
-    """Evaluate the limit density on a symmetric grid (one solve per |x|).
+    """Evaluate the limit density on a symmetric grid.
 
-    The negative half is an exact mirror of the positive half. If the grid
-    contains 0 the value there is the even-quadratic extrapolation from
-    x ∈ {0.01, 0.02} (requires nu({0}) = 0). Solver failures abort with
-    the failing points named. Each ρ carries the error of its g, about
-    tol/|F′(g)| (see :func:`solve_g`), which grows near soft edges. The
-    smoothing eta must lie in (0, 1].
+    The solver gets one lane per distinct |x| > 0 of the grid and, when the
+    grid holds 0, the nodes 0.01 and 0.02 as the last two lanes; ρ(0) is
+    their even-quadratic extrapolation (4·ρ(0.01) − ρ(0.02))/3 (requires
+    nu({0}) = 0), and the negative half mirrors the positive half exactly.
+    Solver failures abort with the failing points named. Each ρ carries the
+    error of its g, about tol/|F′(g)| (see :func:`solve_g`), which grows
+    near soft edges. The smoothing eta must lie in (0, 1].
     """
     grid = symmetric_grid(x_max, points)
+    if not 0 < eta <= 1:
+        raise ValueError(f"eta must lie in (0, 1] (got {eta!r})")
     x_abs, mirror = np.unique(np.abs(grid), return_inverse=True)
-    rho, residuals, iterations = _density_abs(nu, x_abs, eta, tol)
+    has_zero = x_abs[0] == 0
+    if has_zero:
+        if nu.mass_at(0.0) > 0:
+            raise ValueError("density at 0 undefined when the weight law has mass at 0")
+        x_abs = np.concatenate([x_abs[1:], _ZERO_NODES])
+    z, g, residuals, iterations = _solve(nu, x_abs, eta, tol)
+    rho = _clamp_density(_cauchy(z, g).imag / math.pi)
+    if has_zero:
+        rho0 = _clamp_density(np.array([(4.0 * rho[-2] - rho[-1]) / 3.0]))
+        rho = np.concatenate([rho0, rho[:-2]])
+        residuals = np.concatenate([[residuals[-2:].max()], residuals[:-2]])
     rho, residuals = rho[mirror], residuals[mirror]
     mass = float(np.trapezoid(rho, grid))
     return DensityCurve(

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line program on small instances."""
 
 import math
+import re
 import time
 import warnings
 
@@ -255,6 +256,24 @@ def test_sample_rejects_bad_group_scale(tmp_path, capsys, scale):
                    "--out", str(tmp_path)])
     assert rc == 2
     assert f"group scale must be positive and finite (got {float(scale)!r})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("measure, n, omega", [
+    ("delta:1", "10", ["--omega", "1e19"]),
+    ("delta:1", "11", ["--omega", "1e19"]),
+    ("groups:sqrt@one-plus-exponential(rate=1)@1e19;rest@uniform(low=0,high=2)@log", "100", []),
+], ids=["delta-even", "delta-odd", "group-scale"])
+def test_sample_rejects_a_degree_beyond_int64(tmp_path, capsys, measure, n, omega):
+    # the int64 cast wrapped these degrees to its minimum, which surfaced as
+    # an all-zero or a negative degree sequence
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["sample", "--measure", measure, "--n", n, "--seed", "1", *omega,
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    degree = re.fullmatch(r"error: degree (\S+) \(scale × weight\) does not fit in 64 bits\n", err)
+    assert degree and float(degree[1]) >= 2**63
 
 
 _GROUPS = "groups:sqrt@one-plus-exponential(rate=1)@sqrt;rest@uniform(low=0,high=2)@log"

@@ -151,7 +151,8 @@ def test_sequence_load_names_the_file_and_a_malformed_line(tmp_path, line):
     ("1\n2\n", "total degree must be even"),
     ("-1\n1\n", "degrees must be nonnegative"),
     ("\n", "empty degree sequence"),
-], ids=["odd", "negative", "empty"])
+    ("99999999999999999999\n1\n", "degrees must be 64-bit integers (got 99999999999999999999)"),
+], ids=["odd", "negative", "empty", "beyond-int64"])
 def test_sequence_load_names_the_file_on_a_sequence_error(tmp_path, text, message):
     # every line parses, and the sequence rejects the degrees
     path = tmp_path / "degrees.txt"
@@ -159,6 +160,18 @@ def test_sequence_load_names_the_file_on_a_sequence_error(tmp_path, text, messag
     with pytest.raises(ValueError) as info:
         DegreeSequence.load(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("degrees, bad", [
+    ([3.9, 1.1], "3.9"),
+    ([1, 2**63 + 1], str(2**63 + 1)),
+    ([2**70, -1], str(2**70)),
+], ids=["floats", "uint64", "object"])
+def test_sequence_rejects_degrees_that_are_not_int64(degrees, bad):
+    # [3.9, 1.1] was truncated to (3, 1), and 2**70 reached the sampler's
+    # int64 cast as an OverflowError
+    with pytest.raises(ValueError, match=re.escape(f"degrees must be 64-bit integers (got {bad})")):
+        DegreeSequence(degrees)
 
 
 def test_grouped_degrees_mixed_scales():

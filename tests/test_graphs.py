@@ -238,18 +238,23 @@ def test_scaled_adjacency_single_edge():
     assert m[0, 1] == 0.5
 
 
-def test_scaled_adjacency_rejects_bad_omega():
-    g = empty_graph(2)
-    with pytest.raises(ValueError):
-        scaled_adjacency(g, omega=0.0)
-
-
 @pytest.mark.parametrize("pair_function", [scaled_adjacency_pair, scaled_adjacency_distance])
 def test_pair_functions_reject_bad_input(pair_function):
     with pytest.raises(ValueError, match="vertex counts differ"):
         pair_function(empty_graph(2), empty_graph(3), omega=1.0)
-    with pytest.raises(ValueError, match="omega must be positive"):
-        pair_function(empty_graph(2), empty_graph(2), omega=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, omega: scaled_adjacency(g, omega),
+    lambda g, omega: scaled_adjacency_pair(g, g, omega),
+    lambda g, omega: scaled_adjacency_distance(g, g, omega),
+], ids=["adjacency", "pair", "distance"])
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_adjacency_builders_reject_an_omega_outside_zero_to_inf(build, omega):
+    # nan gave an all-NaN matrix and inf a zero one, with no error
+    g = Multigraph(2, [0], [1], [1])
+    with pytest.raises(ValueError, match=re.escape(f"omega must be positive and finite (got {omega!r})")):
+        build(g, omega)
 
 
 @pytest.mark.parametrize("single", [False, True])
@@ -348,7 +353,8 @@ def test_edge_list_rejects_a_repeated_pair(tmp_path, rows, pair):
         Multigraph.load_edges(path)
 
 
-@pytest.mark.parametrize("line", ["0 1", "0 1 2 3", "0 x 1", "0 1 1.5"])
+@pytest.mark.parametrize("line", ["0 1", "0 1 2 3", "0 x 1", "0 1 1.5",
+                                  "0 99999999999999999999 1"])
 def test_edge_list_rejects_a_line_that_is_not_three_integers(tmp_path, line):
     path = tmp_path / "edges.txt"
     path.write_text(f"# n=2\n{line}\n")
@@ -356,7 +362,7 @@ def test_edge_list_rejects_a_line_that_is_not_three_integers(tmp_path, line):
         Multigraph.load_edges(path)
 
 
-@pytest.mark.parametrize("header", ["# n=abc", "# n=2.5", "# n="])
+@pytest.mark.parametrize("header", ["# n=abc", "# n=2.5", "# n=", "# n=99999999999999999999"])
 def test_edge_list_names_the_file_and_a_malformed_n_header(tmp_path, header):
     # a bare "invalid literal for int()" named neither the file nor the line
     path = tmp_path / "edges.txt"

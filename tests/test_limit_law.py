@@ -1,5 +1,6 @@
 """Fixed-point solver, limit densities, quantization, and origin mass."""
 
+import itertools
 import math
 import re
 
@@ -300,6 +301,14 @@ def test_real_line_rejects_bad_eta():
             solve_g(np.array([1.0]), DELTA_ONE, eta=eta)
 
 
+@pytest.mark.parametrize("eta", [math.nan, 0.0, -1e-3])
+def test_solve_rejects_bad_eta(eta):
+    # the one routine every entry point reaches: nan failed as a
+    # ConvergenceError, and 0 or a negative eta never left the schedule
+    with pytest.raises(ValueError, match=re.escape(f"eta must lie in (0, inf) (got {eta!r})")):
+        limit_law._solve(DELTA_ONE, np.array([1.0]), eta, limit_law.DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("eta", [0.0, -1e-6, 2.0, math.nan, math.inf])
 def test_densities_reject_bad_eta(eta):
     with pytest.raises(ValueError, match=re.escape(f"eta must lie in (0, 1] (got {eta!r})")):
@@ -472,9 +481,10 @@ def test_curve_cdf_endpoints_and_monotonicity():
 
 def test_point_density_equals_curve_at_every_node():
     # each |x| is solved on its own lane, so a grid holding only ±x (or 0,
-    # whose value comes from the nodes 0.01 and 0.02) gives the same bits
-    for nu in (DELTA_ONE, THREE_ATOM):
-        curve = density_curve(nu, x_max=3.0, points=21)
+    # whose value comes from the nodes 0.01 and 0.02) gives the same bits;
+    # the 201-point grid holds 0.01 and 0.02 themselves, solved twice
+    for nu, (x_max, points) in itertools.product((DELTA_ONE, THREE_ATOM), ((3.0, 21), (1.0, 201))):
+        curve = density_curve(nu, x_max=x_max, points=points)
         assert 0.0 in curve.grid
         alone = [density_curve(nu, x_max=abs(x), points=2).rho[1] if x
                  else density_curve(nu, x_max=0.02, points=3).rho[1] for x in curve.grid]
