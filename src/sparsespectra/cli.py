@@ -467,14 +467,20 @@ def main(argv: list[str] | None = None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     config_path = pre.parse_known_args(argv)[0].config
+    command = "sparsespectra"
     try:
         args = build_parser(_read_config(config_path) if config_path else {}).parse_args(argv)
+        command = args.command
         return args.func(args)
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {command}: not enough memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -48,6 +48,8 @@ class DegreeSequence:
         degs = tuple(values.tolist())
         object.__setattr__(self, "degrees", degs)
         total = sum(degs)
+        if total >= 2**63:  # the half-edge array's int64 sums would wrap
+            raise ValueError(f"total degree {total} does not fit in 64 bits")
         if total % 2 != 0:
             raise ValueError("total degree must be even")
         object.__setattr__(self, "omega", total / len(degs))
@@ -119,7 +121,7 @@ def _even_sequence(scaled: np.ndarray) -> DegreeSequence:
     degrees = np.floor(scaled).astype(np.int64)
     if degrees.sum() % 2 != 0:
         degrees[-1] += 1
-    if degrees.sum() == 0:
+    if not degrees.any():
         raise ValueError("all-zero degree sequence: no edges to match")
     return DegreeSequence(degrees)
 

@@ -9,9 +9,12 @@ distributions alike.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tables import write_rows
 
 __all__ = [
     "DiscreteMeasure",
@@ -133,10 +136,11 @@ class DiscreteMeasure:
         return self.scaled(1.0 / m)
 
     def content_hash(self) -> str:
-        """Stable short identifier of the atom data (used in file metadata)."""
-        payload = ";".join(
-            f"{x:.17g}:{w:.17g}" for x, w in zip(self.locations, self.weights)
-        )
+        """Stable short identifier of the atom data (used in file metadata):
+        the sha256 of `x:w` per atom, in `.17g`, joined by `;`."""
+        rows = io.StringIO()
+        write_rows(rows, ":", np.asarray(self.locations), np.asarray(self.weights))
+        payload = rows.getvalue()[:-1].replace("\n", ";")
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

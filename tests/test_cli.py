@@ -276,6 +276,33 @@ def test_sample_rejects_a_degree_beyond_int64(tmp_path, capsys, measure, n, omeg
     assert degree and float(degree[1]) >= 2**63
 
 
+def test_sample_rejects_a_total_degree_beyond_int64(tmp_path, capsys):
+    # ten degrees of 9.2e18 each fit in int64; their sum wrapped negative
+    rc = main(["sample", "--measure", "delta:1", "--n", "10", "--omega", "9.2e18", "--seed", "1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: total degree 92000000000000000000 does not fit in 64 bits\n")
+
+
+@pytest.mark.parametrize("exc, detail", [
+    (MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and "
+                 "data type int64"),
+     " (Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type "
+     "int64)"),
+    (MemoryError(), ""),
+], ids=["numpy", "bare"])
+def test_a_failed_allocation_exits_2_naming_the_command(tmp_path, capsys, monkeypatch, exc, detail):
+    def sampler(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "sample_configuration", sampler)
+    rc = main(["sample", "--measure", "delta:1", "--n", "10", "--omega", "1e12", "--seed", "1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: sample: not enough memory{detail}\n"
+
+
 _GROUPS = "groups:sqrt@one-plus-exponential(rate=1)@sqrt;rest@uniform(low=0,high=2)@log"
 
 

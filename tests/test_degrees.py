@@ -174,6 +174,14 @@ def test_sequence_rejects_degrees_that_are_not_int64(degrees, bad):
         DegreeSequence(degrees)
 
 
+def test_sequence_rejects_a_total_degree_beyond_int64():
+    # each degree fits in int64 but the sum wrapped, and the half-edge
+    # array then reported "negative dimensions are not allowed"
+    DegreeSequence([2**62 - 1, 2**62 - 1])
+    with pytest.raises(ValueError, match=re.escape(f"total degree {2**63} does not fit in 64 bits")):
+        DegreeSequence([2**62, 2**62])
+
+
 def test_grouped_degrees_mixed_scales():
     groups = [
         DegreeGroup(count="sqrt", law=OnePlusExponential(rate=1.0), scale="sqrt"),

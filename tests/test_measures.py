@@ -1,5 +1,6 @@
 """Discrete measures: construction, moments, distances."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -62,6 +63,19 @@ def test_content_hash_is_stable_and_sensitive():
     c = DiscreteMeasure((1.0, 2.5), (0.5, 0.5))
     assert a.content_hash() == b.content_hash()
     assert a.content_hash() != c.content_hash()
+
+
+def test_content_hash_keeps_its_per_atom_payload():
+    # the payload used to be built as below, one `.17g` pair per atom; the
+    # hash recorded in every file header must not move
+    rng = np.random.default_rng(5)
+    spread = rng.standard_normal(2044) * 10.0 ** rng.integers(-14, 18, 2044)
+    locs = np.unique(np.concatenate([[0.0, 5e-324, -1e-320, 1e300], spread]))
+    wts = rng.random(locs.size) + 1e-3
+    measure = DiscreteMeasure(tuple(locs), tuple(wts / wts.sum()))
+    assert len(measure.locations) == 2048
+    payload = ";".join(f"{x:.17g}:{w:.17g}" for x, w in zip(measure.locations, measure.weights))
+    assert measure.content_hash() == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # -- distances ----------------------------------------------------------------

@@ -153,6 +153,119 @@ def test_int_rows_memory_stays_bounded_on_many_rows(tmp_path):
     assert last == _int_reference(",", *(col[-1:] for col in cols))
 
 
+_FORMATS = {"f": "{:.17g}", "i": "{:d}", "u": "{:d}", "b": "{:d}", "U": "{}"}
+
+
+def _reference(sep, *cols):
+    """Per-row text of any columns, one Python object per field."""
+    row = sep.join(_FORMATS[col.dtype.kind] for col in cols) + "\n"
+    return "".join(row.format(*values) for values in zip(*(col.tolist() for col in cols)))
+
+
+def _float_text(*cols, sep=","):
+    fh = io.StringIO()
+    write_rows(fh, sep, *cols)
+    return fh.getvalue()
+
+
+def test_floats_in_every_binade_match_a_per_row_reference():
+    # random mantissa bits in each binade from 2**-40 to 2**60, both signs
+    rng = np.random.default_rng(19)
+    exponents = np.repeat(np.arange(-40, 61), 300)
+    bits = (rng.integers(0, 2**52, exponents.size, dtype=np.uint64)
+            | ((exponents + 1023).astype(np.uint64) << np.uint64(52))
+            | (rng.integers(0, 2, exponents.size, dtype=np.uint64) << np.uint64(63)))
+    x = bits.view(np.float64)
+    assert _float_text(x) == _reference(",", x)
+
+
+def test_floats_next_to_powers_of_ten_match_a_per_row_reference():
+    # log10 of these is within an ulp of an integer, so the first guess of
+    # the decimal exponent can be one off; 9.9999999999999995e-08 rounds
+    # up to 10**16 digits under the wrong exponent
+    powers = np.array([float(f"1e{j}") for j in range(-12, 18)])
+    x = [powers, np.array([9.9999999999999995e-08, 9.9999999999999995e-05])]
+    for steps in (1, 2):
+        up, down = powers, powers
+        for _ in range(steps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        x += [up, down]
+    x = np.concatenate(x)
+    x = np.concatenate([x, -x])
+    assert _float_text(x) == _reference(",", x)
+
+
+def test_exact_ties_round_half_to_even():
+    # quarters of integers in [2**50, 2**52): the 17th digit is a tie
+    # whenever the value ends in .25 or .75 above 10**15
+    rng = np.random.default_rng(23)
+    x = rng.integers(2**50, 2**52, 20_000) / 4
+    assert _float_text(x) == _reference(",", x)
+    assert _float_text(np.array([1234567890123456.75, 1234567890123456.25])) == (
+        "1234567890123456.8\n1234567890123456.2\n")
+
+
+def test_special_floats_match_a_per_row_reference():
+    tiny = np.finfo(np.float64).smallest_normal
+    x = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  tiny, -tiny, tiny * (1 - 2**-52), np.finfo(np.float64).max,
+                  -np.finfo(np.float64).max, 1e-11, 1e16, -1e16, 9999999999999998.0, 1e-300,
+                  1.5, 0.1, 100.0, 1e15, 0.0001, 1e-05])
+    text = _float_text(x, np.arange(x.size))
+    assert text == _reference(",", x, np.arange(x.size))
+    assert text.splitlines()[:6] == ["0,0", "-0,1", "nan,2", "nan,3", "inf,4", "-inf,5"]
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+def test_other_float_widths_write_as_float_does(dtype):
+    rng = np.random.default_rng(29)
+    x = (rng.standard_normal(5000) * 10.0 ** rng.integers(-6, 5, 5000)).astype(dtype)
+    x[:4] = [0.0, -1.5, np.inf, np.nan]
+    assert _float_text(x) == _reference(",", x)
+    assert _float_text(x) == _reference(",", x.astype(np.float64))
+
+
+@pytest.mark.parametrize("sep", [",", " ", ", "])
+def test_mixed_rows_across_blocks_match_a_per_row_reference(monkeypatch, sep):
+    monkeypatch.setattr(tables, "_BLOCK_ROWS", 3)
+    # each block mixes kernel and Python-formatted floats, exponent layouts
+    # and string widths
+    x = np.array([0.5, math.nan, -1e-7, 123.25, 0.0, 1e300, -2.5e-3, 7.0, 1e15 + 0.5, -math.inf,
+                  3.0e-11])
+    n = x.size
+    ids = np.arange(n, dtype=np.int64) * -37
+    flag = np.arange(n) % 3 == 0
+    names = np.array(["kolmogorov", "", "w1", "ν ⊠ σ_sc", "a", "bb", "ccc", "x", "", "yz", "q"])
+    small = np.linspace(-1, 1, n, dtype=np.float32)
+    cols = (ids, x, flag, names, small)
+    assert _float_text(*cols, sep=sep) == _reference(sep, *cols)
+
+
+def test_float_rows_memory_stays_bounded_on_many_rows(tmp_path):
+    # the encoder holds one block at a time; encoding all 10**6 rows at
+    # once would take well over 100 MB
+    rng = np.random.default_rng(31)
+    cols = [rng.standard_normal(10**6) * 10.0 ** rng.integers(-9, 9, 10**6) for _ in range(3)]
+    with open(tmp_path / "t.txt", "w") as fh:
+        tracemalloc.start()
+        try:
+            write_rows(fh, ",", *cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * 2**20
+    with open(tmp_path / "t.txt") as fh:
+        for count, last in enumerate(fh, 1):
+            pass
+    assert count == 10**6
+    assert last == _reference(",", *(col[-1:] for col in cols))
+
+
+def test_rejects_a_string_field_holding_nul():
+    with pytest.raises(ValueError, match=r"string field 'a\\x00b' contains NUL"):
+        write_rows(io.StringIO(), ",", np.array([1.5, 2.5]), np.array(["ok", "a\0b"]))
+
+
 def test_rejects_a_separator_holding_nul():
     with pytest.raises(ValueError, match=r"separator '\\x00' contains NUL"):
         write_rows(io.StringIO(), "\0", np.array([1]), np.array([3]))
