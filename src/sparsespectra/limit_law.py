@@ -13,10 +13,14 @@ every entry point, with one failure path: warm-started geometric
 continuation in the imaginary offset with factor 1e-3, each stage a damped
 iteration with a guarded Newton step from the first iteration.
 Intermediate stages only hand over a warm start and stop at a loose
-residual; the final stage alone enforces the requested tolerance.
-Each iteration sweeps lanes × atoms in cache-sized lane blocks whose
-results do not depend on the block size. The module evaluates f at a
-point and the limit density on a symmetric grid.
+residual; the final stage alone enforces the requested tolerance. The
+first stage of a multi-stage solve sums over a binned copy of the law, in
+which atoms whose locations lie within one factor-1.1 bin are merged: at
+offset 1 the summand d/(z+g·d) is smooth in d, so the warm start is as
+good, and a many-atom law sweeps far fewer atoms. Each iteration sweeps
+lanes × atoms in cache-sized lane blocks whose results do not depend on
+the block size. The module evaluates f at a point and the limit density
+on a symmetric grid.
 """
 
 from __future__ import annotations
@@ -53,6 +57,13 @@ _SWEEP_CELLS = 8192
 # pair took the fewest iterations over the bound-suite and 2048-atom laws
 _ETA_STEP = 1e-3
 _STAGE_TOL = 1e-3
+# location ratio of one bin of the first stage's law. 1.05, 1.1 and 1.25
+# kept every stage's iterations on 2048-atom 1+Exp and Uniform and a wide
+# 1000-atom law, and the 2048-atom curves took the same time at all three;
+# |Δρ| against the unbinned solve grew with the ratio (at most 2.4e-14,
+# 9.4e-14, 5.0e-13), and the wide law's first stage took 17%, 10% and 4%
+# of its cells
+_BIN_RATIO = 1.1
 
 
 class ConvergenceError(RuntimeError):
@@ -172,13 +183,29 @@ def _eta_schedule(eta_final: float) -> list[float]:
     return etas
 
 
+def _binned(locs: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The law with the atoms of each bin floor(log(d)/log(_BIN_RATIO))
+    merged: one atom of their summed weight at their weighted mean, so
+    Σw·d is kept per bin. An atom at 0 keeps a bin of its own."""
+    with np.errstate(divide="ignore"):
+        bins = np.floor(np.log(locs) / math.log(_BIN_RATIO))
+    starts = np.flatnonzero(np.concatenate(([True], bins[1:] != bins[:-1])))
+    if len(starts) == len(locs):
+        return locs, wts
+    w = np.add.reduceat(wts, starts)
+    return np.add.reduceat(wts * locs, starts) / w, w
+
+
 def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float):
     """Warm-started continuation solve at z = x + i·e for every x in xs.
 
     e runs down the geometric schedule 1 → eta with factor _ETA_STEP (a
     single stage when eta > 1/2), starting from g = i·min(1, 1/Im z).
     Intermediate stages only hand over a warm start: they stop at residual
-    max(tol, _STAGE_TOL) or after 2000 iterations. The final stage enforces
+    max(tol, _STAGE_TOL) or after 2000 iterations. The first of several
+    stages sums over the binned law of :func:`_binned`, which is the law
+    itself when no two atoms share a bin; every later stage, and the
+    final residual check, sweeps every atom. The final stage enforces
     `tol` (0 < tol < inf), and _MAX_ITER bounds the iterations of the
     whole solve; eta must lie in (0, inf). Returns (z, g, residual,
     iterations); raises :class:`ConvergenceError` naming the failing
@@ -195,13 +222,16 @@ def _solve(nu: DiscreteMeasure, xs, eta: float, tol: float):
     if not np.all(np.isfinite(xs)):
         raise ValueError(f"x must be finite (got {float(xs[~np.isfinite(xs)][0])!r})")
     etas = _eta_schedule(eta)
+    first = _binned(locs, wts) if len(etas) > 1 else (locs, wts)
     g = np.full(len(xs), 1j * min(1.0, 1.0 / etas[0]))
     total_it = 0
     for k, e in enumerate(etas):
         final = k == len(etas) - 1
         z = xs + 1j * e
+        stage_locs, stage_wts = first if k == 0 else (locs, wts)
         budget = _MAX_ITER - total_it if final else min(2000, _MAX_ITER - total_it)
-        g, res, it = _iterate_many(z, locs, wts, g, tol if final else max(tol, _STAGE_TOL), budget)
+        g, res, it = _iterate_many(z, stage_locs, stage_wts, g,
+                                   tol if final else max(tol, _STAGE_TOL), budget)
         total_it += it
     bad = ~(res <= tol)  # a NaN residual fails too
     if np.any(bad):

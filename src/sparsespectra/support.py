@@ -109,13 +109,16 @@ def _positive_atoms(nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
 def xi(v, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     """xi(v) = −1/v + Σ w·d²/(1+v·d) and xi′(v) = 1/v² − Σ w·d³/(1+v·d)².
 
-    Both come from one sweep den = 1 + v⊗d, for a float v or an array of
-    any shape; rejects v at a pole (0 or any −1/d). The points, flattened,
-    are swept in blocks of at most _XI_CELLS point·atom cells (at least
-    one point), so memory stays bounded on any number of points; each
-    point sums on its own, so the values do not depend on the block size.
+    Both come from one reciprocal r = 1/(1 + v·d) per point·atom cell, as
+    Σ r·(w·d²) and Σ r²·(w·d³), for a float v or an array of any shape;
+    rejects v at a pole (0 or any −1/d). The points, flattened, are swept
+    in blocks of at most _XI_CELLS point·atom cells (at least one point),
+    so memory stays bounded on any number of points; each point sums on
+    its own, so the values do not depend on the block size.
     """
     locs, wts = _positive_atoms(nu)
+    squares = wts * locs**2
+    cubes = wts * locs**3
     v_arr = np.asarray(v, dtype=float)
     flat = v_arr.ravel()
     vals = np.empty(flat.shape)
@@ -123,11 +126,13 @@ def xi(v, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, _XI_CELLS // len(locs))
     for lo in range(0, len(flat), step):
         block = flat[lo:lo + step]
-        den = 1.0 + np.multiply.outer(block, locs)
-        if np.any(block == 0) or np.any(den == 0):
+        r = 1.0 + np.multiply.outer(block, locs)
+        if np.any(block == 0) or np.any(r == 0):
             raise ValueError("xi evaluated at a pole")
-        vals[lo:lo + step] = -1.0 / block + ((wts * locs**2) / den).sum(axis=-1)
-        slopes[lo:lo + step] = 1.0 / block**2 - ((wts * locs**3) / den**2).sum(axis=-1)
+        np.divide(1.0, r, out=r)
+        vals[lo:lo + step] = -1.0 / block + (r * squares).sum(axis=-1)
+        r *= r
+        slopes[lo:lo + step] = 1.0 / block**2 - (r * cubes).sum(axis=-1)
     # [()] turns the 0-d result of a float v into a scalar
     return vals.reshape(v_arr.shape)[()], slopes.reshape(v_arr.shape)[()]
 

@@ -18,12 +18,13 @@ out at its column's full width with NUL in the bytes it does not use, and
 the NULs are deleted from the finished block. Ints and bools get their
 digits by numpy division. A float with 1e-11 <= |x| < 1e16 gets its 17
 significant digits from the exact integer m·5^p·2^(e+p) for x = m·2^e,
-rounded half to even as Python's `.17g` rounds; any other float (±0, nan,
-±inf, subnormals, magnitudes outside that range) is formatted by Python,
-and so is a string, and its text copied into its field. Blocks hold
-65 536 rows when every column is int or bool and 4096 otherwise. The text
-comes out byte for byte as `str.format` would write it; neither a
-separator nor a string field may therefore contain NUL.
+rounded half to even as Python's `.17g` rounds; the float columns of a
+block go through this kernel together, in calls of up to 4096 values. Any
+other float (±0, nan, ±inf, subnormals, magnitudes outside that range) is
+formatted by Python, and so is a string, and its text copied into its
+field. Blocks hold 65 536 rows when every column is int or bool and 4096
+otherwise. The text comes out byte for byte as `str.format` would write
+it; neither a separator nor a string field may therefore contain NUL.
 """
 
 from __future__ import annotations
@@ -104,8 +105,23 @@ def _encode_rows(sep: str, cols: list[np.ndarray]) -> str:
     bytes a field does not use are NUL, and the NULs are deleted from the
     finished text.
     """
+    rows = cols[0].shape[0]
+    with np.errstate(over="ignore"):
+        floats = [col.astype(np.float64, copy=False) for col in cols if col.dtype.kind == "f"]
+    # the float columns share kernel calls of up to _BLOCK_ROWS values: a
+    # call has a fixed cost of about 65 µs, and past 4096 values (32 kB per
+    # float64 temporary) its cost per value doubles
+    per_call = max(1, _BLOCK_ROWS // rows)
+    float_fields = []
+    for i in range(0, len(floats), per_call):
+        x = np.concatenate(floats[i:i + per_call])
+        n, k, ok = _decimal(x)
+        digits = _digits(n)
+        float_fields += [_float_field(x[at:at + rows], k[at:at + rows], ok[at:at + rows],
+                                      digits[:, at:at + rows]) for at in range(0, x.size, rows)]
+    float_fields = iter(float_fields)
     fields = [_int_field(col) if col.dtype.kind in "iub"
-              else _float_field(col) if col.dtype.kind == "f" else _text_field(col)
+              else next(float_fields) if col.dtype.kind == "f" else _text_field(col)
               for col in cols]
     seps = [sep.encode()] * (len(cols) - 1) + [b"\n"]
     row_width = sum(width + len(s) for (width, _), s in zip(fields, seps))
@@ -148,10 +164,11 @@ def _int_field(col: np.ndarray):
     return width, fill
 
 
-def _float_field(col: np.ndarray):
+def _float_field(x: np.ndarray, k: np.ndarray, ok: np.ndarray, digits: np.ndarray):
     """Width and filler of a float column's fields: the `.17g` text of each
-    value as float64 (float16, float32 and longdouble values are cast, as
-    `float()` would).
+    value of `x`, the column as float64 (float16, float32 and longdouble
+    values are cast, as `float()` would), from the decimal exponents `k`,
+    the mask `ok` and the (17, rows) ASCII `digits` of the float kernel.
 
     A field has a slot for every byte `.17g` puts there at some exponent of
     the block: the sign if a value is negative, the "0.000" of exponents -4
@@ -160,10 +177,7 @@ def _float_field(col: np.ndarray):
     use is NUL, and so is a trailing zero of the fraction. The text of a
     value outside the kernel fills its field from the first byte.
     """
-    with np.errstate(over="ignore"):
-        x = col.astype(np.float64, copy=False)
-    n, k, ok = _decimal(x)
-    k -= _KMIN  # row of the per-exponent tables
+    k = k - _KMIN  # row of the per-exponent tables
     rest = np.flatnonzero(~ok)
     texts = [format(v, ".17g").encode() for v in x[rest].tolist()]
     neg = np.signbit(x)
@@ -185,17 +199,17 @@ def _float_field(col: np.ndarray):
             np.multiply(neg, ord("-"), out=field[0], casting="unsafe")
         for j in range(prefix):
             field[sign + j] = _PREFIX[k, j]
-        _digits(n, [field[at] for at in digit_at])
+        field[digit_at] = digits
         # a trailing zero of the fraction is NUL, and so is a point with no
         # digit after it
         point = _POINT[k]
-        zero = np.flatnonzero(field[digit_at[-1]] == ord("0"))
+        zero = np.flatnonzero(digits[16] == ord("0"))
         if zero.size:
             frac = _FRAC[k[zero]]
-            digits = field[digit_at[:, None], zero]
-            last = 16 - np.argmax(digits[::-1] != ord("0"), axis=0)
+            tail = digits[:, zero]
+            last = 16 - np.argmax(tail[::-1] != ord("0"), axis=0)
             keep = np.maximum(frac, last + 1)
-            field[digit_at[:, None], zero] = digits * (np.arange(17)[:, None] < keep)
+            field[digit_at[:, None], zero] = tail * (np.arange(17)[:, None] < keep)
             point[zero[last < frac]] = -1
         for digit in points:
             np.multiply(point == digit, ord("."), out=field[digit_at[digit] + 1],
@@ -265,9 +279,10 @@ def _scaled(m: np.ndarray, e2: np.ndarray, p: np.ndarray):
     return floor, up
 
 
-def _digits(n: np.ndarray, out: list[np.ndarray]) -> None:
-    """Write the 17 decimal digits of each n in [10**16, 10**17) as ASCII
-    to the arrays `out`, one per digit."""
+def _digits(n: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each n in [10**16, 10**17) as ASCII, in a
+    (17, len(n)) uint8 array with one row per digit."""
+    out = np.empty((17, n.shape[0]), dtype=np.uint8)
     # digits 0-7 and 8-16 side by side, each half below 2**32
     q = np.empty((2, n.shape[0]), dtype=np.uint32)
     q[0] = n // 10**9
@@ -275,10 +290,11 @@ def _digits(n: np.ndarray, out: list[np.ndarray]) -> None:
     for step in range(9):
         nxt = q // 10
         ascii = q - nxt * 10 + ord("0")
-        out[16 - step][...] = ascii[1]
+        out[16 - step] = ascii[1]
         if step < 8:
-            out[7 - step][...] = ascii[0]
+            out[7 - step] = ascii[0]
         q = nxt
+    return out
 
 
 def _text_field(col: np.ndarray):

@@ -227,6 +227,77 @@ def test_sweep_bits_do_not_depend_on_the_block_size(monkeypatch, cells):
         assert curve.iterations == curve_b.iterations
 
 
+def unbinned(locs, wts):
+    return locs, wts
+
+
+def wide_law():
+    """1000 atoms on a geometric grid from 1e-3 to 1e3, weights ∝ 1/d."""
+    d = np.geomspace(1e-3, 1e3, 1000)
+    return DiscreteMeasure(tuple(d), tuple((1.0 / d) / (1.0 / d).sum())).normalized()
+
+
+def test_laws_without_shared_bins_solve_as_unbinned(monkeypatch):
+    laws = {**BOUND_SUITE_ATOMIC, "three-atom (0.5, 1.4, 2.4)": THREE_ATOM}
+    for name, nu in laws.items():
+        locs, wts = nu.as_arrays()
+        binned_locs, binned_wts = limit_law._binned(locs, wts)
+        assert binned_locs is locs and binned_wts is wts, name
+        x_max = top_edge(nu) + 0.25
+        curve = density_curve(nu, x_max=x_max, points=401)
+        with monkeypatch.context() as m:
+            m.setattr(limit_law, "_binned", unbinned)
+            reference = density_curve(nu, x_max=x_max, points=401)
+        assert np.array_equal(curve.rho, reference.rho), name
+        assert np.array_equal(curve.residuals, reference.residuals), name
+        assert curve.iterations == reference.iterations, name
+
+
+@pytest.mark.parametrize("law, x_max, points", [
+    pytest.param(quantize_measure(OnePlusExponential(1.0).normalized(), 2048), 3.5, 201,
+                 id="2048-atom-1+Exp"),
+    pytest.param(quantize_measure(UniformLaw(0.0, 2.0).normalized(), 2048), 3.0, 201,
+                 id="2048-atom-Uniform(0,2)"),
+    pytest.param(wide_law(), 8.0, 401, id="1000-atom-geometric"),
+])
+def test_binned_first_stage_sweeps_fewer_cells_to_the_same_curve(monkeypatch, law, x_max,
+                                                                  points):
+    # measured: 0.64, 0.65 and 0.64 of the unbinned cells, the same
+    # iterations in every stage, and |Δρ| at most 9.4e-14
+    sweep = limit_law._residual_and_slope
+    cells = []
+
+    def counted(z, g, locs, *sums):
+        cells[-1] += len(z) * len(locs)
+        return sweep(z, g, locs, *sums)
+
+    monkeypatch.setattr(limit_law, "_residual_and_slope", counted)
+    cells.append(0)
+    curve = density_curve(law, x_max=x_max, points=points)
+    monkeypatch.setattr(limit_law, "_binned", unbinned)
+    cells.append(0)
+    reference = density_curve(law, x_max=x_max, points=points)
+    assert np.max(np.abs(curve.rho - reference.rho)) <= 1e-11
+    assert curve.iterations <= reference.iterations
+    assert cells[0] <= 0.7 * cells[1]
+
+
+def test_an_atom_at_zero_keeps_a_bin_of_its_own(monkeypatch):
+    nu = DiscreteMeasure.from_pairs([(0.0, 0.2), (1.2, 0.3), (1.21, 0.3), (2.0, 0.2)]).normalized()
+    locs, wts = nu.as_arrays()
+    binned_locs, binned_wts = limit_law._binned(locs, wts)
+    merged = wts[1] + wts[2]
+    assert binned_locs.tolist() == [0.0, (wts[1] * locs[1] + wts[2] * locs[2]) / merged, locs[3]]
+    assert binned_wts.tolist() == [wts[0], merged, wts[3]]
+    xs = np.linspace(-2.5, 2.5, 11)
+    g, res, iterations = solve_g(xs, nu)
+    monkeypatch.setattr(limit_law, "_binned", unbinned)
+    g_ref, _, iterations_ref = solve_g(xs, nu)
+    assert np.all(res <= 1e-10)
+    assert np.max(np.abs(g - g_ref)) <= 1e-8
+    assert iterations <= iterations_ref
+
+
 # -- transform of the symmetric law ---------------------------------------------
 
 

@@ -114,3 +114,21 @@ def test_importing_the_cli_leaves_the_thread_pool_module_unloaded():
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\n"
+
+
+def test_the_exact_distances_leave_numpy_ma_unloaded():
+    # numpy's union1d imports numpy.ma on first use, about 9 ms that
+    # `couple` paid for its two distances
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = textwrap.dedent("""
+        import sys
+        from sparsespectra import DiscreteMeasure, kolmogorov_distance, wasserstein1
+        a = DiscreteMeasure.from_samples([0.0, 1.0, 1.0, 2.5])
+        b = DiscreteMeasure.from_samples([0.5, 1.0, 3.0])
+        print(kolmogorov_distance(a, b), wasserstein1(a, b), 'numpy.ma' in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-1] == "False"

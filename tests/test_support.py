@@ -22,6 +22,7 @@ from sparsespectra import (
     two_atom_threshold,
     xi,
 )
+from sparsespectra import support
 
 from oracles import finite_difference, point_mass_square_edges
 
@@ -88,6 +89,44 @@ def test_xi_memory_stays_bounded_on_many_points_of_a_wide_law():
     scalar = [xi(float(v), nu) for v in vs.ravel()]
     assert vals.ravel().tolist() == [value for value, _ in scalar]
     assert slopes.ravel().tolist() == [slope for _, slope in scalar]
+
+
+def trace_grid(nu):
+    """The points of the `support` command's xi trace: 400 per pole-free gap."""
+    poles = np.sort(-1.0 / nu.as_arrays()[0])
+    span = float(poles[-1] - poles[0])
+    lo = np.concatenate([[poles[0] - 1.5 * span], poles])
+    hi = np.concatenate([poles, [0.0]])
+    per_gap = max(1, min(400, 20_000 // len(lo)))
+    return lo[:, None] + (hi - lo)[:, None] * np.linspace(1e-4, 1.0 - 1e-4, per_gap)
+
+
+@pytest.mark.parametrize("cells", [2048, 3 * 2048 + 1, 2**20],
+                         ids=["one-point-per-block", "three-points-per-block", "512-point-blocks"])
+def test_xi_bits_do_not_depend_on_the_block_size(monkeypatch, cells):
+    nu = quantize_measure(OnePlusExponential(1.0).normalized(), 2048)
+    vs = trace_grid(nu)
+    vals, slopes = xi(vs, nu)
+    monkeypatch.setattr(support, "_XI_CELLS", cells)
+    vals_b, slopes_b = xi(vs, nu)
+    assert np.array_equal(vals, vals_b) and np.array_equal(slopes, slopes_b)
+
+
+def test_xi_matches_exactly_rounded_sums_away_from_the_poles():
+    nu = quantize_measure(OnePlusExponential(1.0).normalized(), 2048)
+    locs, wts = (a.tolist() for a in nu.as_arrays())
+    # the poles -1/d lie closer than 1e-2 apart from -2.0 to -0.2, so the
+    # points clear of them sit in the outer gaps and past 0
+    vs = np.concatenate([trace_grid(nu).ravel(), np.linspace(-6.0, 3.0, 451)])
+    poles = np.append(-1.0 / nu.as_arrays()[0], 0.0)
+    vs = vs[np.min(np.abs(vs[:, None] - poles), axis=1) >= 1e-2]
+    assert vs.size > 200
+    vals, slopes = xi(vs, nu)
+    for v, val, slope in zip(vs.tolist(), vals, slopes):
+        terms = [w * d * d / (1.0 + v * d) for d, w in zip(locs, wts)] + [-1.0 / v]
+        assert abs(val - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms)), v
+        terms = [-w * d**3 / (1.0 + v * d) ** 2 for d, w in zip(locs, wts)] + [1.0 / v**2]
+        assert abs(slope - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms)), v
 
 
 def test_xi_vectorized_matches_scalar():

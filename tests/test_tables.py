@@ -241,6 +241,21 @@ def test_mixed_rows_across_blocks_match_a_per_row_reference(monkeypatch, sep):
     assert _float_text(*cols, sep=sep) == _reference(sep, *cols)
 
 
+@pytest.mark.parametrize("block_rows", [_BLOCK_ROWS, 100, 3],
+                         ids=["one-call", "two-columns-per-call", "one-column-per-call"])
+def test_float_columns_of_one_block_keep_their_own_layouts(monkeypatch, block_rows):
+    # the float columns of a block share kernel calls of up to _BLOCK_ROWS
+    # values; each column's sign, "e-NN" and point slots must still come
+    # from its own values
+    monkeypatch.setattr(tables, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(37)
+    wide = -rng.random(50) * 10.0 ** rng.integers(-11, -4, 50)
+    plain = rng.random(50) * 100.0
+    plain[::7] = np.round(plain[::7])
+    for cols in ((wide, plain), (plain, wide), (plain, np.arange(50), wide, plain)):
+        assert _float_text(*cols) == _reference(",", *cols)
+
+
 def test_float_rows_memory_stays_bounded_on_many_rows(tmp_path):
     # the encoder holds one block at a time; encoding all 10**6 rows at
     # once would take well over 100 MB
