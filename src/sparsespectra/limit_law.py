@@ -18,9 +18,9 @@ first stage of a multi-stage solve sums over a binned copy of the law, in
 which atoms whose locations lie within one factor-1.1 bin are merged: at
 offset 1 the summand d/(z+g·d) is smooth in d, so the warm start is as
 good, and a many-atom law sweeps far fewer atoms. Each iteration sweeps
-lanes × atoms in cache-sized lane blocks whose results do not depend on
-the block size. The module evaluates f at a point and the limit density
-on a symmetric grid.
+lanes × atoms with `measures._atom_sums`, which `support` shares, in
+cache-sized lane blocks whose results do not depend on the block size.
+The module evaluates f at a point and the limit density on a symmetric grid.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import ContinuousLaw
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _atom_sums
 from .tables import write_table
 
 __all__ = [
@@ -50,7 +50,7 @@ DEFAULT_QUANTIZE = 2048
 _MEAN_TOL = 1e-9
 # iterations of a whole continuation solve, read at each call
 _MAX_ITER = 100_000
-# lane·atom cells per residual sweep: 128 kB of complex128 temporaries
+# lane·atom cells per sweep block: 128 kB of complex128 temporaries, in L2
 _SWEEP_CELLS = 8192
 # eta factor between continuation stages (1 → 1e-6 is three stages) and the
 # residual at which an intermediate stage hands its warm start over; the
@@ -89,21 +89,11 @@ def _residual_and_slope(
 ) -> tuple[np.ndarray, np.ndarray]:
     """F(g) = g + E[D/(z+gD)] and F'(g) = 1 − E[D²/(z+gD)²], vectorized over lanes.
 
-    One reciprocal sweep r = 1/(z + g·d) serves both; wd = w·d and
-    wdd = w·d² are the atom weights of the two sums. Lanes are swept in
-    blocks of at most _SWEEP_CELLS lane·atom cells (at least one lane), so
-    the complex temporaries stay in a core's L2 cache; each row sums on its
-    own, so F and F' have the same bits for any block size.
+    Both come from one reciprocal r = 1/(z + g·d) per lane·atom cell of
+    :func:`measures._atom_sums`, with atom weights wd = w·d and wdd = w·d².
     """
-    rows = max(1, _SWEEP_CELLS // len(locs))
-    F = np.empty(len(g), dtype=complex)
-    S = np.empty(len(g), dtype=complex)
-    for lo in range(0, len(g), rows):
-        hi = lo + rows
-        r = 1.0 / (z[lo:hi, None] + g[lo:hi, None] * locs)
-        F[lo:hi] = g[lo:hi] + (r * wd).sum(axis=1)
-        S[lo:hi] = 1.0 - (r * r * wdd).sum(axis=1)
-    return F, S
+    F, S = _atom_sums(z, g, locs, ((wd, 1), (wdd, 2)), _SWEEP_CELLS)
+    return g + F, 1.0 - S
 
 
 def _iterate_many(

@@ -183,3 +183,35 @@ def kolmogorov_vs_cdf(values, cdf) -> float:
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(f - hi)), np.max(np.abs(f - lo))))
+
+
+def _atom_sums(s, t, locs: np.ndarray, sums, cells: int) -> list[np.ndarray]:
+    """Σ_a c_a/(s + t·d_a)^p per point, for each (c, p ≤ 3) of `sums`.
+
+    s and t hold one entry per point, or one of them is a float for all.
+    Several sums share one reciprocal r per point·atom cell and sum r^p·c;
+    a lone sum needs no reciprocal and divides, c/(s + t·d)^p. Points go in
+    blocks of at most `cells` cells (at least one point) and each sums its
+    own row, so memory stays bounded and no value depends on the block size.
+    """
+    shared = len(sums) > 1
+    s_each, t_each = type(s) is np.ndarray, type(t) is np.ndarray
+    n = len(s) if s_each else len(t)
+    step = max(1, cells // len(locs))
+    # one array for every block, temporaries freed last in, first out: few pages go back to the OS
+    den = np.empty((min(n, step), len(locs)), np.result_type(s, t, locs))
+    blocks = []
+    for lo in range(0, max(1, n), step):
+        base = np.multiply(t[lo:lo + step, None] if t_each else t, locs, out=den[: n - lo])
+        np.add(s[lo:lo + step, None] if s_each else s, base, out=base)
+        base = np.divide(1.0, base, out=base) if shared else base
+        blocks.append([_power_sum(base, c, p, shared) for c, p in sums])
+    return blocks[0] if len(blocks) == 1 else [np.concatenate(col) for col in zip(*blocks)]
+
+
+def _power_sum(base: np.ndarray, c: np.ndarray, p: int, shared: bool) -> np.ndarray:
+    """Row sums of base^p·c, or of c/base^p if not shared, in one new array (** 3 is slower)."""
+    term = base * base * base if p == 3 else base * base if p == 2 else base
+    into = None if p == 1 else term
+    term = np.multiply(term, c, out=into) if shared else np.divide(c, term, out=into)
+    return term.sum(axis=1)

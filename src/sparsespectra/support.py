@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _atom_sums
 from .tables import write_table
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
 
 _HOLE_TOL = 1e-12
 DEFAULT_MIN_GAP = 1e-3
-_XI_CELLS = 1 << 17  # point·atom cells one xi block evaluates at once
+_CELLS = 1 << 17  # point·atom cells per block of xi and of the scan's sums
 
 
 @dataclass(frozen=True)
@@ -109,30 +109,22 @@ def _positive_atoms(nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
 def xi(v, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     """xi(v) = −1/v + Σ w·d²/(1+v·d) and xi′(v) = 1/v² − Σ w·d³/(1+v·d)².
 
-    Both come from one reciprocal r = 1/(1 + v·d) per point·atom cell, as
-    Σ r·(w·d²) and Σ r²·(w·d³), for a float v or an array of any shape;
-    rejects v at a pole (0 or any −1/d). The points, flattened, are swept
-    in blocks of at most _XI_CELLS point·atom cells (at least one point),
-    so memory stays bounded on any number of points; each point sums on
-    its own, so the values do not depend on the block size.
+    Both come from one reciprocal r = 1/(1 + v·d) per point·atom cell of
+    :func:`measures._atom_sums`, as Σ r·(w·d²) and Σ r²·(w·d³), for a float
+    v or an array of any shape; rejects v at a pole (0 or any −1/d).
     """
     locs, wts = _positive_atoms(nu)
-    squares = wts * locs**2
-    cubes = wts * locs**3
     v_arr = np.asarray(v, dtype=float)
     flat = v_arr.ravel()
-    vals = np.empty(flat.shape)
-    slopes = np.empty(flat.shape)
-    step = max(1, _XI_CELLS // len(locs))
-    for lo in range(0, len(flat), step):
-        block = flat[lo:lo + step]
-        r = 1.0 + np.multiply.outer(block, locs)
-        if np.any(block == 0) or np.any(r == 0):
-            raise ValueError("xi evaluated at a pole")
-        np.divide(1.0, r, out=r)
-        vals[lo:lo + step] = -1.0 / block + (r * squares).sum(axis=-1)
-        r *= r
-        slopes[lo:lo + step] = 1.0 / block**2 - (r * cubes).sum(axis=-1)
+    try:
+        # −1/v and the sums divide by zero exactly at v = 0 and 1 + v·d = 0
+        with np.errstate(divide="raise"):
+            vals = -1.0 / flat
+            sums = _atom_sums(1.0, flat, locs, ((wts * locs**2, 1), (wts * locs**3, 2)), _CELLS)
+    except FloatingPointError:
+        raise ValueError("xi evaluated at a pole") from None
+    vals += sums[0]
+    slopes = 1.0 / flat**2 - sums[1]
     # [()] turns the 0-d result of a float v into a scalar
     return vals.reshape(v_arr.shape)[()], slopes.reshape(v_arr.shape)[()]
 
@@ -141,9 +133,9 @@ def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Zero of f in every bracket [lo, hi] at once; f must rise across each.
 
     64 halvings take every bracket used here down to about the float
-    spacing of its ends.
+    spacing of its ends. With no brackets, f is not evaluated at all.
     """
-    for _ in range(64):
+    for _ in range(64 if len(lo) else 0):
         mid = 0.5 * (lo + hi)
         below = f(mid) < 0.0
         lo = np.where(below, mid, lo)
@@ -166,7 +158,8 @@ def support_mp(nu: DiscreteMeasure, min_gap: float = DEFAULT_MIN_GAP) -> Support
       φ ≥ (A^{1/3} + B^{1/3})³ / W² from those two terms alone; the gaps
       where this is ≥ 1 hold no piece. On the rest, bisecting the rising
       φ′ gives the minimiser u*; where φ(u*) < 1, φ = 1 is bracketed on
-      each side of u*. All gaps are solved together.
+      each side of u*. All gaps are solved together, in blocks of _CELLS
+      point·atom cells (:func:`measures._atom_sums`) that bound memory.
 
     Holes are clipped to [0, ∞) and merged; complement pieces narrower than
     `min_gap` are absorbed (quantized continuous laws produce spurious
@@ -183,21 +176,15 @@ def support_mp(nu: DiscreteMeasure, min_gap: float = DEFAULT_MIN_GAP) -> Support
     cubes = wts * locs**3
     m2 = float((wts * locs**2).sum())
 
-    def phi(u: np.ndarray) -> np.ndarray:
-        return (cubes / (u[:, None] + locs) ** 2).sum(axis=1)
-
-    def big_x(u: np.ndarray) -> np.ndarray:
-        return -u + m2 - (cubes / (u[:, None] + locs)).sum(axis=1)
-
-    def half_phi_slope(u: np.ndarray) -> np.ndarray:
-        t = u[:, None] + locs
-        return -(cubes / (t * t * t)).sum(axis=1)  # t**3 is several times slower
+    def cube_sum(u: np.ndarray, p: int) -> np.ndarray:
+        """Σ w·d³/(u + d)^p: φ at p = 2, −φ′/2 at p = 3, E[D²] − u − X at p = 1."""
+        return _atom_sums(u, 1.0, locs, ((cubes, p),), _CELLS)[0]
 
     roots3 = np.cbrt(cubes)
     open_gap = (roots3[1:] + roots3[:-1]) ** 3 < np.diff(locs) ** 2
     left, right = -locs[1:][open_gap], -locs[:-1][open_gap]
-    u_min = _bisect(half_phi_slope, left, right)
-    dipped = phi(u_min) < 1.0
+    u_min = _bisect(lambda u: -cube_sum(u, 3), left, right)
+    dipped = cube_sum(u_min, 2) < 1.0
     left, right, u_min = left[dipped], right[dipped], u_min[dipped]
 
     # φ ≤ Σ w·d³ / (distance to the nearest pole)², so φ ≤ 1 at this reach
@@ -209,19 +196,14 @@ def support_mp(nu: DiscreteMeasure, min_gap: float = DEFAULT_MIN_GAP) -> Support
     lo = np.concatenate([[-locs[0]], left, u_min, [-locs[-1] - reach]])
     hi = np.concatenate([[-locs[0] + reach], u_min, right, [-locs[-1]]])
     rising = np.repeat([-1.0, 1.0], n + 1)
-    ends = _bisect(lambda u: rising * (phi(u) - 1.0), lo, hi)
+    ends = _bisect(lambda u: rising * (cube_sum(u, 2) - 1.0), lo, hi)
     # X falls across each piece, so its start gives the top of the hole and
     # its end the bottom; X(−∞) = ∞ and X(∞) = −∞ close the outer holes
-    tops = big_x(np.append(ends[: n + 1], -math.inf))
-    bottoms = big_x(np.insert(ends[n + 1:], 0, math.inf))
+    u = np.concatenate([ends[: n + 1], [-math.inf, math.inf], ends[n + 1:]])
+    x = -u + m2 - cube_sum(u, 1)
+    tops, bottoms = x[: n + 2], np.maximum(x[n + 2:], 0.0)
 
-    holes: list[tuple[float, float]] = []
-    for bottom, top in zip(bottoms, tops):
-        img_lo, img_hi = max(float(bottom), 0.0), float(top)
-        if img_hi > img_lo:
-            holes.append((img_lo, img_hi))
-
-    holes.sort()
+    holes = sorted((float(b), float(t)) for b, t in zip(bottoms, tops) if t > b)
     merged_holes: list[list[float]] = []
     for lo_h, hi_h in holes:
         if merged_holes and lo_h <= merged_holes[-1][1]:
@@ -235,14 +217,10 @@ def support_mp(nu: DiscreteMeasure, min_gap: float = DEFAULT_MIN_GAP) -> Support
         (a, b) for a, b in merged_holes if math.isinf(b) or (b - a) >= width_floor
     ]
 
-    # the last hole is (·, ∞), so the support ends where it begins
-    support: list[tuple[float, float]] = []
-    cursor = 0.0
-    for a, b in filtered:
-        if a >= cursor:
-            support.append((cursor, a))
-        cursor = b
-    return SupportIntervals(tuple(support))
+    # the support runs from 0 and from each hole's top to the next hole's
+    # bottom; the last hole is (·, ∞), so the support ends where it begins
+    starts = [0.0] + [b for _, b in filtered]
+    return SupportIntervals(tuple(zip(starts, [a for a, _ in filtered])))
 
 
 # -- two-atom closed forms --------------------------------------------------

@@ -268,3 +268,23 @@ def edge_density(nu, v_lo: float, v_hi: float) -> tuple[float, float, float]:
     x_e = -1.0 / v + float(w @ (d**2 / (1.0 + v * d)))
     curvature = -2.0 / v**3 + 2.0 * float(w @ (d**4 / (1.0 + v * d) ** 3))
     return v, x_e, curvature
+
+
+# -- Wigner model of the limit law ---------------------------------------------
+
+
+def wigner_model_eigenvalues(d, seed: int) -> np.ndarray:
+    """Eigenvalues of D^{1/2}·W·D^{1/2}, D = diag(d), W an n×n GOE matrix.
+
+    W is symmetric with N(0, 1/n) entries off the diagonal and N(0, 2/n)
+    on it. The diagonal of the resolvent of D^{1/2}·W·D^{1/2} solves
+    G_ii ≈ −1/(z + d_i·m), m = (1/n)·Σ_j d_j·G_jj, which is the fixed point
+    g = −E[D/(z + g·D)] of the limit law. So when the empirical law of d
+    tends to ν, the spectrum tends to the limit law ν ⊠ σ_sc of the scaled
+    sparse graphs, with no graph and no solver on the way.
+    """
+    d = np.asarray(d, dtype=float)
+    n = len(d)
+    a = np.random.default_rng(seed).normal(0.0, math.sqrt(0.5 / n), (n, n))
+    root = np.sqrt(d)
+    return np.linalg.eigvalsh(root[:, None] * (a + a.T) * root)

@@ -14,6 +14,7 @@ from sparsespectra import (
     TwoAtomLaw,
     UniformLaw,
     density_curve,
+    kolmogorov_vs_cdf,
     quantize_measure,
     solve_g,
     stieltjes_mu,
@@ -29,6 +30,7 @@ from oracles import (
     semicircle_g,
     solve_h_reference,
     tree_moments,
+    wigner_model_eigenvalues,
 )
 
 DELTA_ONE = DiscreteMeasure.from_pairs([(1.0, 1.0)])
@@ -539,6 +541,24 @@ def test_curve_moments_match_plane_tree_moments():
         for k in range(1, 5):
             got = float(np.trapezoid(curve.grid ** (2 * k) * curve.rho, curve.grid))
             assert abs(got / exact[k] - 1.0) <= 1e-3, (name, 2 * k, got, exact[k])
+
+
+def test_curve_matches_the_spectrum_of_the_wigner_model():
+    # D^{1/2}·W·D^{1/2} at n = 2000, d at the n quantile midpoints of nu,
+    # against the curve's CDF: no graph and no solver on the reference side.
+    # Over seeds 0–11 on each law the distance read 0.00155–0.00215; a top
+    # atom 5% too large read 0.0167 on the point mass and 0.0046 on the
+    # connected two-atom law, and the curve stretched in x by 1.01 read at
+    # least 0.0030 on every law and seed. The test runs seed k on the k-th law.
+    laws = {**BOUND_SUITE_ATOMIC,
+            "quantized 1+Exp": quantize_measure(OnePlusExponential(1.0).normalized(), 2048)}
+    n = 2000
+    for seed, (name, nu) in enumerate(laws.items()):
+        locs, wts = nu.as_arrays()
+        d = locs[np.searchsorted(np.cumsum(wts), (np.arange(n) + 0.5) / n)]
+        curve = density_curve(nu, x_max=top_edge(nu) + 0.25, points=2001)
+        distance = kolmogorov_vs_cdf(wigner_model_eigenvalues(d, seed), curve.cdf)
+        assert distance < 0.003, (name, distance)
 
 
 def test_curve_cdf_endpoints_and_monotonicity():

@@ -107,7 +107,7 @@ def test_xi_bits_do_not_depend_on_the_block_size(monkeypatch, cells):
     nu = quantize_measure(OnePlusExponential(1.0).normalized(), 2048)
     vs = trace_grid(nu)
     vals, slopes = xi(vs, nu)
-    monkeypatch.setattr(support, "_XI_CELLS", cells)
+    monkeypatch.setattr(support, "_CELLS", cells)
     vals_b, slopes_b = xi(vs, nu)
     assert np.array_equal(vals, vals_b) and np.array_equal(slopes, slopes_b)
 
@@ -250,6 +250,47 @@ def test_default_quantized_laws_keep_their_support(law, edge):
     (a, b), = support_mp(quantize_measure(law.normalized(), 2048)).intervals
     assert a == 0.0
     assert b == pytest.approx(edge, abs=1e-10)
+
+
+# the five `support` laws of the `limit` benchmark plan, at one draw of its
+# perturbed parameters (the three-atom law is gate 7's)
+PLAN_SUPPORT_LAWS = {
+    "two-atom split": TwoAtomLaw(alpha=7.2, beta=0.5).measure(),
+    "two-atom connected": TwoAtomLaw(alpha=3.17, beta=0.5).measure(),
+    "three-atom": DiscreteMeasure.from_pairs(
+        [(1.0 / 2.12, 0.5), (3.0 / 2.12, 0.49), (15.0 / 2.12, 0.01)]),
+    "48-atom 1+Exp": quantize_measure(OnePlusExponential(1.0).normalized(), 48),
+    "point mass": DELTA_ONE,
+}
+
+
+def many_atom_uniform():
+    """8192-atom quantized Uniform(0, 2): 161 interior gaps stay open for bisection."""
+    return quantize_measure(UniformLaw(0.0, 2.0).normalized(), 8192)
+
+
+def test_scan_memory_stays_bounded_on_many_atoms():
+    # unblocked, the (open gaps × atoms) arrays of this scan peak at 30.5 MB
+    nu = many_atom_uniform()
+    tracemalloc.start()
+    try:
+        s = support_mp(nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(s) == 1 and s[0][0] == 0.0
+
+
+@pytest.mark.parametrize("cells", [lambda atoms: 1, lambda atoms: 3 * atoms + 1,
+                                   lambda atoms: 2**20],
+                         ids=["one-point-per-block", "three-points-per-block", "2**20-cells"])
+def test_scan_bits_do_not_depend_on_the_block_size(monkeypatch, cells):
+    for name, nu in {**PLAN_SUPPORT_LAWS, "8192-atom Uniform(0, 2)": many_atom_uniform()}.items():
+        intervals = support_mp(nu).intervals
+        with monkeypatch.context() as m:
+            m.setattr(support, "_CELLS", cells(len(nu)))
+            assert support_mp(nu).intervals == intervals, name
 
 
 @pytest.mark.parametrize("min_gap", [math.nan, -1e-3, -math.inf])
