@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrees import DegreeSequence
-from .tables import write_rows
+from .tables import write_header, write_rows
 
 __all__ = [
     "Multigraph",
@@ -120,10 +120,8 @@ class Multigraph:
     def save_edges(self, path, metadata: dict | None = None) -> None:
         """Edge-list text: a sorted '# key=value' header that includes n,
         then one 'i j mult' line per row in stored order (a loop is 'v v count')."""
-        header = {**(metadata or {}), "n": self.n}
         with open(path, "w") as fh:
-            for key in sorted(header):
-                fh.write(f"# {key}={header[key]}\n")
+            write_header(fh, {**(metadata or {}), "n": self.n})
             write_rows(fh, " ", self.edges_i, self.edges_j, self.mult)
 
     @classmethod

@@ -11,29 +11,26 @@ A field's format follows its column's dtype: floats as `.17g`, which
 round-trips every float64 exactly (`nan`, `inf` and `-0` included); ints
 and bools as integers; strings as they are.
 
-`write_rows` takes the field separator as an argument, so the package's
-other text files (edge lists, degree files) use the same field formats.
-Rows are encoded block by block into a uint8 buffer: each field is laid
-out at its column's full width with NUL in the bytes it does not use, and
-the NULs are deleted from the finished block. Ints and bools get their
-digits by numpy division. A float with 1e-11 <= |x| < 1e16 gets its 17
-significant digits from the exact integer m·5^p·2^(e+p) for x = m·2^e,
-rounded half to even as Python's `.17g` rounds; the float columns of a
-block go through this kernel together, in calls of up to 4096 values. Any
-other float (±0, nan, ±inf, subnormals, magnitudes outside that range) is
-formatted by Python, and so is a string, and its text copied into its
-field. Blocks hold 65 536 rows when every column is int or bool and 4096
-otherwise. The text comes out byte for byte as `str.format` would write
-it; neither a separator nor a string field may therefore contain NUL.
+`write_header` and `write_rows`, which takes the field separator, give the
+package's other text files (edge lists, degree files) the same formats.
+Rows are encoded in blocks of 65 536 rows when every column is int or
+bool and 4096 otherwise: a block is each column's fields, as a (rows,
+width) uint8 array with NUL in the bytes a field does not use, and the
+separator columns side by side, its NULs deleted. Ints and bools get
+their digits by numpy division. A float with 1e-11 <= |x| < 1e16 gets its
+17 significant digits from the exact integer m·5^p·2^(e+p) for x = m·2^e,
+rounded half to even as `.17g` rounds, one kernel call per column and
+block; Python formats other floats (±0, nan, ±inf, subnormals, magnitudes
+outside that range) and strings. The text is byte for byte what
+`str.format` writes, so no separator or string field may contain NUL.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_table", "write_rows"]
+__all__ = ["write_table", "write_rows", "write_header"]
 
-_KINDS = "fiubU"
 # rows encoded per write: large enough to amortise the per-block numpy
 # calls, small enough to bound memory (tracemalloc peak 14.5 MB for three
 # full-range int64 columns at 2**16 rows). The float kernel makes a few
@@ -69,27 +66,28 @@ _POINT = np.array([0 if k < -4 else k if 0 <= k < 16 else -1 for k in _KS])
 
 def write_table(path, columns, *data, metadata: dict | None = None) -> None:
     """Write the 1-D arrays `data` as the columns named by `columns`."""
-    cols = [np.asarray(col) for col in data]
-    if len(cols) != len(columns) or len({col.shape for col in cols}) > 1 or any(
-        col.ndim != 1 for col in cols
-    ):
-        raise ValueError("need one 1-D column, all of one length, per column name")
-    kinds = [col.dtype.kind for col in cols]
-    if not set(kinds) <= set(_KINDS):
-        raise ValueError(f"no table format for dtype kinds {kinds}")
+    cols = _columns(data)
+    if len(cols) != len(columns):
+        raise ValueError(f"need one column per column name (got {len(cols)} for {len(columns)})")
     with open(path, "w") as fh:
-        for key in sorted(metadata or ()):
-            fh.write(f"# {key}={metadata[key]}\n")
+        write_header(fh, metadata)
         fh.write(",".join(columns) + "\n")
         write_rows(fh, ",", *cols)
 
 
-def write_rows(fh, sep: str, *cols: np.ndarray) -> None:
+def write_header(fh, metadata: dict | None) -> None:
+    """Write to `fh` a `# key=value` line per `metadata` entry, in key order."""
+    for key in sorted(metadata or ()):
+        fh.write(f"# {key}={metadata[key]}\n")
+
+
+def write_rows(fh, sep: str, *cols) -> None:
     """Write every row of the equal-length 1-D arrays `cols` to the open
     text file `fh` as one line: its fields, formatted by their columns'
     dtypes, joined by `sep`. Rows are written block by block."""
     if "\0" in sep:
         raise ValueError(f"field separator {sep!r} contains NUL")
+    cols = _columns(cols)
     n = cols[0].shape[0] if cols else 0
     ints = all(col.dtype.kind in "iub" for col in cols)
     block_rows = _INT_BLOCK_ROWS if ints else _BLOCK_ROWS
@@ -97,46 +95,34 @@ def write_rows(fh, sep: str, *cols: np.ndarray) -> None:
         fh.write(_encode_rows(sep, [col[start:start + block_rows] for col in cols]))
 
 
+def _columns(data) -> list[np.ndarray]:
+    """`data` as arrays, checked to be 1-D, of one length and of table
+    dtypes, with no string field holding NUL."""
+    cols = [np.asarray(col) for col in data]
+    if len({col.shape for col in cols}) > 1 or any(col.ndim != 1 for col in cols):
+        raise ValueError(f"need 1-D columns of one length (got {[c.shape for c in cols]})")
+    kinds = [col.dtype.kind for col in cols]
+    if not set(kinds) <= set(_FIELDS):
+        raise ValueError(f"no table format for dtype kinds {kinds}")
+    bad = next((v for c in cols if c.dtype.kind == "U" for v in c.tolist() if "\0" in v), None)
+    if bad is not None:
+        raise ValueError(f"string field {bad!r} contains NUL")
+    return cols
+
+
 def _encode_rows(sep: str, cols: list[np.ndarray]) -> str:
-    """The text of the rows of the nonempty columns `cols`.
-
-    Each row is laid out in a uint8 buffer as, per column, its field at
-    the column's width and `sep` (a newline after the last column); the
-    bytes a field does not use are NUL, and the NULs are deleted from the
-    finished text.
-    """
+    """The text of the rows of the nonempty columns `cols`: each column's
+    fields and then `sep`, or a newline after the last, minus the NULs."""
     rows = cols[0].shape[0]
-    with np.errstate(over="ignore"):
-        floats = [col.astype(np.float64, copy=False) for col in cols if col.dtype.kind == "f"]
-    # the float columns share kernel calls of up to _BLOCK_ROWS values: a
-    # call has a fixed cost of about 65 µs, and past 4096 values (32 kB per
-    # float64 temporary) its cost per value doubles
-    per_call = max(1, _BLOCK_ROWS // rows)
-    float_fields = []
-    for i in range(0, len(floats), per_call):
-        x = np.concatenate(floats[i:i + per_call])
-        n, k, ok = _decimal(x)
-        digits = _digits(n)
-        float_fields += [_float_field(x[at:at + rows], k[at:at + rows], ok[at:at + rows],
-                                      digits[:, at:at + rows]) for at in range(0, x.size, rows)]
-    float_fields = iter(float_fields)
-    fields = [_int_field(col) if col.dtype.kind in "iub"
-              else next(float_fields) if col.dtype.kind == "f" else _text_field(col)
-              for col in cols]
-    seps = [sep.encode()] * (len(cols) - 1) + [b"\n"]
-    row_width = sum(width + len(s) for (width, _), s in zip(fields, seps))
-    buf = np.empty((cols[0].shape[0], row_width), dtype=np.uint8)
-    pos = 0
-    for (width, fill), s in zip(fields, seps):
-        fill(buf[:, pos:pos + width])
-        pos += width
-        buf[:, pos:pos + len(s)] = np.frombuffer(s, dtype=np.uint8)
-        pos += len(s)
-    return buf.tobytes().translate(None, b"\0").decode()
+    sep_col, end_col = (np.broadcast_to(np.frombuffer(s, dtype=np.uint8), (rows, len(s)))
+                        for s in (sep.encode(), b"\n"))
+    parts = [part for col in cols for part in (_FIELDS[col.dtype.kind](col), sep_col)]
+    parts[-1] = end_col
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
 
 
-def _int_field(col: np.ndarray):
-    """Width and filler of an int or bool column's fields: a sign byte and
+def _int_field(col: np.ndarray) -> np.ndarray:
+    """The (rows, width) fields of an int or bool column: a sign byte and
     the magnitude's digits right-aligned to the column's widest value. The
     sign byte of a nonnegative value and every leading zero but the units
     digit are NUL."""
@@ -148,27 +134,26 @@ def _int_field(col: np.ndarray):
     if top < _NARROW:
         mag = mag.astype(np.uint32)
     width = 1 + len(str(top))
+    # built one slot per row and transposed at the end: writing a slot of
+    # every value at once is then contiguous
+    field = np.empty((width, col.shape[0]), dtype=np.uint8)
+    np.multiply(neg, ord("-"), out=field[0], casting="unsafe")
+    q = mag
+    for digit in range(width - 1):
+        # floor division by a constant is several times faster than np.divmod
+        nxt = q // 10
+        byte = q - nxt * 10 + ord("0")
+        if digit:
+            byte *= q > 0  # a leading zero becomes NUL
+        field[width - 1 - digit] = byte
+        q = nxt
+    return field.T
 
-    def fill(out):
-        np.multiply(neg, ord("-"), out=out[:, 0], casting="unsafe")
-        q = mag
-        for digit in range(width - 1):
-            # floor division by a constant is several times faster than np.divmod
-            nxt = q // 10
-            byte = q - nxt * 10 + ord("0")
-            if digit:
-                byte *= q > 0  # a leading zero becomes NUL
-            out[:, width - 1 - digit] = byte
-            q = nxt
 
-    return width, fill
-
-
-def _float_field(x: np.ndarray, k: np.ndarray, ok: np.ndarray, digits: np.ndarray):
-    """Width and filler of a float column's fields: the `.17g` text of each
-    value of `x`, the column as float64 (float16, float32 and longdouble
-    values are cast, as `float()` would), from the decimal exponents `k`,
-    the mask `ok` and the (17, rows) ASCII `digits` of the float kernel.
+def _float_field(col: np.ndarray) -> np.ndarray:
+    """The (rows, width) fields of a float column: the `.17g` text of each
+    value as float64 (float16, float32 and longdouble values are cast, as
+    `float()` would).
 
     A field has a slot for every byte `.17g` puts there at some exponent of
     the block: the sign if a value is negative, the "0.000" of exponents -4
@@ -177,6 +162,10 @@ def _float_field(x: np.ndarray, k: np.ndarray, ok: np.ndarray, digits: np.ndarra
     use is NUL, and so is a trailing zero of the fraction. The text of a
     value outside the kernel fills its field from the first byte.
     """
+    with np.errstate(over="ignore"):
+        x = col.astype(np.float64, copy=False)
+    n, k, ok = _decimal(x)
+    digits = _digits(n)
     k = k - _KMIN  # row of the per-exponent tables
     rest = np.flatnonzero(~ok)
     texts = [format(v, ".17g").encode() for v in x[rest].tolist()]
@@ -190,38 +179,27 @@ def _float_field(x: np.ndarray, k: np.ndarray, ok: np.ndarray, digits: np.ndarra
     suffix = int(np.count_nonzero(_SUFFIX[used], axis=1).max(initial=0))
     end = int(digit_at[-1]) + 1
     width = max([end + suffix, *map(len, texts)])
-
-    def fill(out):
-        # built one slot per row and transposed into `out` at the end:
-        # writing a slot of every value at once is then contiguous
-        field = np.empty((width, x.shape[0]), dtype=np.uint8)
-        if sign:
-            np.multiply(neg, ord("-"), out=field[0], casting="unsafe")
-        for j in range(prefix):
-            field[sign + j] = _PREFIX[k, j]
-        field[digit_at] = digits
-        # a trailing zero of the fraction is NUL, and so is a point with no
-        # digit after it
-        point = _POINT[k]
-        zero = np.flatnonzero(digits[16] == ord("0"))
-        if zero.size:
-            frac = _FRAC[k[zero]]
-            tail = digits[:, zero]
-            last = 16 - np.argmax(tail[::-1] != ord("0"), axis=0)
-            keep = np.maximum(frac, last + 1)
-            field[digit_at[:, None], zero] = tail * (np.arange(17)[:, None] < keep)
-            point[zero[last < frac]] = -1
-        for digit in points:
-            np.multiply(point == digit, ord("."), out=field[digit_at[digit] + 1],
-                        casting="unsafe")
-        for j in range(suffix):
-            field[end + j] = _SUFFIX[k, j]
-        field[end + suffix:] = 0
-        if rest.size:
-            field[:, rest] = _pad(texts, width).T
-        out[...] = field.T
-
-    return width, fill
+    # built one slot per row and transposed at the end, as _int_field is
+    field = np.empty((width, x.shape[0]), dtype=np.uint8)
+    field[:sign] = neg * np.uint8(ord("-"))
+    field[sign:sign + prefix] = _PREFIX[k, :prefix].T
+    field[digit_at] = digits
+    # a trailing zero of the fraction is NUL, and so is a point with no
+    # digit after it
+    point = _POINT[k]
+    zero = np.flatnonzero(digits[16] == ord("0"))
+    if zero.size:
+        frac = _FRAC[k[zero]]
+        tail = digits[:, zero]
+        last = 16 - np.argmax(tail[::-1] != ord("0"), axis=0)
+        keep = np.maximum(frac, last + 1)
+        field[digit_at[:, None], zero] = tail * (np.arange(17)[:, None] < keep)
+        point[zero[last < frac]] = -1
+    field[digit_at[points] + 1] = (point == np.array(points)[:, None]) * np.uint8(ord("."))
+    field[end:end + suffix] = _SUFFIX[k, :suffix].T
+    field[end + suffix:] = 0
+    field[:, rest] = _pad(texts, width).T
+    return field.T
 
 
 def _decimal(x: np.ndarray):
@@ -297,15 +275,11 @@ def _digits(n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _text_field(col: np.ndarray):
-    """Width and filler of a string column's fields: their UTF-8 bytes."""
+def _text_field(col: np.ndarray) -> np.ndarray:
+    """The (rows, width) fields of a string column: their UTF-8 bytes."""
     encoded = [text.encode() for text in col.tolist()]
-    bad = next((text for text in encoded if b"\0" in text), None)
-    if bad is not None:
-        raise ValueError(f"string field {bad.decode()!r} contains NUL")
-    width = max(map(len, encoded))
+    return _pad(encoded, max(map(len, encoded)))
 
-    def fill(out):
-        out[:] = _pad(encoded, width)
 
-    return width, fill
+# the field encoder of each dtype kind a table column may have
+_FIELDS = {"i": _int_field, "u": _int_field, "b": _int_field, "f": _float_field, "U": _text_field}

@@ -189,6 +189,26 @@ def test_curve_iteration_ceilings():
     assert density_curve(split, x_max=top_edge(split) + 0.25, points=2401).iterations <= 27
 
 
+def test_an_unreachable_tol_stops_once_no_lane_improves(monkeypatch):
+    # tol = 1e-300 lies below every lane's rounding floor (about 3e-16).
+    # Measured 136 sweeps; spending the whole budget of 5000 iterations
+    # takes about 10 000
+    monkeypatch.setattr(limit_law, "_MAX_ITER", 5000)
+    sweep = limit_law._residual_and_slope
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(limit_law, "_residual_and_slope", counted)
+    with pytest.raises(ConvergenceError) as info:
+        density_curve(DELTA_ONE, x_max=3.0, points=601, tol=1e-300)
+    assert len(calls) < 1000
+    assert "of 302 points failed (worst residual" in str(info.value)
+    assert 0 < info.value.best_residual < 1e-15
+
+
 def test_slope_matches_central_difference_of_residual():
     locs, wts = THREE_ATOM.as_arrays()
     z = np.array([0.3 + 1e-3j, -1.2 + 0.1j, 2.5 + 1.0j, 0.01 + 1e-6j])

@@ -295,3 +295,48 @@ def test_rejects_mismatched_columns(tmp_path):
         write_table(tmp_path / "t.csv", ("a", "b"), [1, 2])
     with pytest.raises(ValueError):
         write_table(tmp_path / "t.csv", ("a",), np.array([object()]))
+
+
+_REJECTED = [
+    pytest.param([np.array([1, 2]), np.array([1.0])], "need 1-D columns of one length",
+                 id="lengths"),
+    pytest.param([np.array([[1.0]])], "need 1-D columns of one length", id="2-D"),
+    pytest.param([np.array([b"ab"])], r"no table format for dtype kinds \['S'\]", id="bytes"),
+    pytest.param([np.array([1j])], r"no table format for dtype kinds \['c'\]", id="complex"),
+    pytest.param([np.array([1], dtype=np.int64), np.array([object()])],
+                 r"no table format for dtype kinds \['i', 'O'\]", id="object"),
+]
+
+
+@pytest.mark.parametrize("cols, message", _REJECTED)
+def test_both_writers_reject_a_bad_column_with_one_message(tmp_path, cols, message):
+    with pytest.raises(ValueError, match=message):
+        write_rows(io.StringIO(), ",", *cols)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=message):
+        write_table(path, [f"c{j}" for j in range(len(cols))], *cols)
+    assert not path.exists()  # rejected before the file is opened
+
+
+def test_write_table_rejects_a_string_field_holding_nul_before_opening_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"string field 'a\\x00b' contains NUL"):
+        write_table(path, ("x", "name"), np.array([1.5, 2.5]), np.array(["ok", "a\0b"]))
+    assert not path.exists()
+
+
+def test_write_table_rejects_a_column_count_unlike_the_names(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"need one column per column name \(got 1 for 2\)"):
+        write_table(path, ("a", "b"), [1.0])
+    assert not path.exists()
+
+
+def test_write_header_writes_sorted_key_value_lines():
+    fh = io.StringIO()
+    tables.write_header(fh, {"n": 3, "alpha": 0.5, "measure": "delta:1"})
+    assert fh.getvalue() == "# alpha=0.5\n# measure=delta:1\n# n=3\n"
+    for empty in (None, {}):
+        fh = io.StringIO()
+        tables.write_header(fh, empty)
+        assert fh.getvalue() == ""
